@@ -11,7 +11,7 @@ import (
 
 // HARQ parameters of FDD LTE (§3 of the paper): an erroneous transport
 // block is retransmitted eight subframes after the original transmission,
-// at most three times.
+// at most three times. NR cells keep both counts in slots.
 const (
 	HARQDelaySubframes = 8
 	MaxRetransmissions = 3
@@ -38,8 +38,38 @@ type ControlSource interface {
 	Tick(subframe int, rng *rand.Rand) []ControlGrant
 }
 
-// Cell is one component carrier: a base station scheduler with per-user
-// queues, HARQ, and control-channel emission.
+// TBSink receives completed transport blocks from a cell. ok=false marks a
+// block lost after exhausting HARQ retransmissions; its packets never
+// arrive but the sink must advance its reordering state.
+type TBSink interface {
+	DeliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool)
+}
+
+// RAT holds the scheduler constants that differ between radio access
+// technologies. NewCell sets LTE's and nr.NewCell sets NR's; everything
+// else about a cell is the one scheduler kernel below.
+type RAT struct {
+	// SlotsPerSubframe is the number of scheduling slots per 1 ms
+	// subframe: 1 for LTE, 2^µ for NR. Control grants are issued on
+	// subframe boundaries, so the per-ms signaling load is the same on
+	// either RAT.
+	SlotsPerSubframe int
+	// RBGSize is the resource-block-group size P of data grants.
+	RBGSize int
+	// ControlUnitPRBs is the footprint of one control-grant unit.
+	ControlUnitPRBs int
+	// RotateOrder rotates the water-fill service order with the slot
+	// index, so the capped grant at the band edge moves between users.
+	RotateOrder bool
+	// CBGBits is the code-block-group size of HARQ; zero means whole
+	// transport blocks are acknowledged and retransmitted.
+	CBGBits int
+	// QueueBytes is the initial PerUserQueueBytes.
+	QueueBytes int
+}
+
+// Cell is one component carrier: a slot-clocked base station scheduler
+// with per-user queues, HARQ, and control-channel emission.
 type Cell struct {
 	eng *sim.Engine
 
@@ -47,29 +77,28 @@ type Cell struct {
 	NPRB  int
 	Table phy.CQITable
 
+	rat        RAT
+	slotDur    time.Duration
 	control    ControlSource
 	background BackgroundSource
 	users      []*cellUser
 	byRNTI     map[uint16]*cellUser
 	monitors   []Monitor
 
-	subframe    int
+	slot        int
+	cursor      int // next free PRB of the slot being scheduled
 	pendingRetx map[int][]*transportBlock
 	rng         *rand.Rand
 	ticker      *sim.Ticker
 	pool        *netsim.PacketPool
 
-	nRBG    int
-	rbgSize int
-
-	// Per-subframe scratch, reused across ticks (DESIGN.md section 12):
-	// one SubframeReport per cell whose Allocs slice is resliced each
-	// subframe (monitor consumers copy what they keep), the water-fill
-	// inputs, and a transport-block free list. deliveries is the
-	// coalesced TB-delivery queue: instead of one event per transport
-	// block, the cell schedules a single pre-bound delivery event per
-	// subframe that drains the queue in transmit order at the next
-	// subframe boundary.
+	// Per-slot scratch, reused across ticks (DESIGN.md section 12): one
+	// SubframeReport per cell whose Allocs slice is resliced each slot
+	// (monitor consumers copy what they keep), the water-fill inputs, and
+	// a transport-block free list. deliveries is the coalesced
+	// TB-delivery queue: instead of one event per transport block, the
+	// cell schedules a single pre-bound delivery event per slot that
+	// drains the queue in transmit order at the next slot boundary.
 	rep          *SubframeReport
 	blUsers      []*cellUser
 	wants        []int
@@ -85,8 +114,9 @@ type Cell struct {
 
 	// ErrorModel, when non-nil, replaces random transport-block error
 	// sampling: it is called per transmission attempt and returns whether
-	// the block was received in error. Used by tests and the Figure 3
-	// experiment to inject deterministic errors.
+	// the block was received in error (all outstanding code-block groups
+	// fail together). Used by tests and the Figure 3 experiment to inject
+	// deterministic errors.
 	ErrorModel func(rnti uint16, tbSeq uint64, attempt int, bits int, ber float64) bool
 
 	// Counters for evaluation (Figure 6a and others).
@@ -102,7 +132,7 @@ type Cell struct {
 
 type cellUser struct {
 	rnti uint16
-	ue   *UE
+	sink TBSink
 	ch   *phy.Channel
 
 	// queue is the user's downlink queue, indexed from qHead (head-index
@@ -113,7 +143,7 @@ type cellUser struct {
 	queuedBits int
 	nextTB     uint64
 
-	// Per-subframe scratch, read back by the UE's carrier-aggregation
+	// Per-slot scratch, read back by the UE's carrier-aggregation
 	// manager after the cell ticks.
 	lastPRBs       int
 	lastServedBits int
@@ -128,41 +158,58 @@ type transportBlock struct {
 	completed []*netsim.Packet
 	attempts  int
 	mcs       phy.MCS
+
+	// Code-block-group HARQ state: total groups in the original block and
+	// the groups still outstanding (failed in every attempt so far).
+	// Whole-TB HARQ is the one-group case.
+	cbTotal       int
+	cbOutstanding int
 }
 
 // tbDelivery is one entry of the cell's coalesced delivery queue: the
 // transport block's outcome, decoupled from the (recycled) block struct.
-// The packets slice transfers to the UE's reorder buffer.
+// The packets slice transfers to the sink's reorder buffer.
 type tbDelivery struct {
-	ue   *UE
+	sink TBSink
 	seq  uint64
 	pkts []*netsim.Packet
 	ok   bool
 }
 
-// NewCell creates a cell and starts its subframe ticker on the engine.
-// control may be nil for a cell without control-plane chatter.
+// NewCell creates an LTE cell and starts its subframe ticker on the
+// engine. control may be nil for a cell without control-plane chatter.
 func NewCell(eng *sim.Engine, id, nprb int, table phy.CQITable, control ControlSource) *Cell {
+	p := rbgSizeFor(nprb)
+	return NewRATCell(eng, id, nprb, table, control, RAT{
+		SlotsPerSubframe: 1, RBGSize: p, ControlUnitPRBs: p,
+		QueueBytes: DefaultPerUserQueueBytes,
+	})
+}
+
+// NewRATCell creates a cell of nprb PRBs scheduled with the given RAT
+// constants and starts its slot ticker on the engine.
+func NewRATCell(eng *sim.Engine, id, nprb int, table phy.CQITable, control ControlSource, rat RAT) *Cell {
 	c := &Cell{
-		eng:         eng,
-		ID:          id,
-		NPRB:        nprb,
-		Table:       table,
-		control:     control,
-		byRNTI:      make(map[uint16]*cellUser),
-		pendingRetx: make(map[int][]*transportBlock),
-		rng:         eng.Rand(),
+		eng:               eng,
+		ID:                id,
+		NPRB:              nprb,
+		Table:             table,
+		rat:               rat,
+		slotDur:           time.Millisecond / time.Duration(rat.SlotsPerSubframe),
+		control:           control,
+		byRNTI:            make(map[uint16]*cellUser),
+		pendingRetx:       make(map[int][]*transportBlock),
+		rng:               eng.Rand(),
+		pool:              netsim.PoolOf(eng),
+		rep:               &SubframeReport{CellID: id, NPRB: nprb},
+		PerUserQueueBytes: rat.QueueBytes,
 	}
-	c.PerUserQueueBytes = DefaultPerUserQueueBytes
-	c.rbgSize = rbgSizeFor(nprb)
-	c.nRBG = (nprb + c.rbgSize - 1) / c.rbgSize
-	c.pool = netsim.PoolOf(eng)
-	c.rep = &SubframeReport{CellID: id, NPRB: nprb}
 	c.deliverFn = c.deliverPending
-	c.ticker = eng.Every(time.Millisecond, c.tick)
+	c.ticker = eng.Every(c.slotDur, c.tick)
 	return c
 }
 
+// rbgSizeFor returns the RBG size P of 3GPP TS 36.213 Table 7.1.6.1-1.
 func rbgSizeFor(nprb int) int {
 	switch {
 	case nprb <= 10:
@@ -176,50 +223,39 @@ func rbgSizeFor(nprb int) int {
 	}
 }
 
-// Stop halts the cell's subframe ticker.
+// Stop halts the cell's slot ticker.
 func (c *Cell) Stop() { c.ticker.Stop() }
 
-// Subframe returns the index of the last processed subframe.
-func (c *Cell) Subframe() int { return c.subframe }
+// Subframe returns the index of the last processed scheduling slot: the
+// subframe on an LTE cell, the NR slot on an NR cell.
+func (c *Cell) Subframe() int { return c.slot }
+
+// SlotDuration returns the cell's scheduling interval.
+func (c *Cell) SlotDuration() time.Duration { return c.slotDur }
+
+// SlotsPerSubframe returns the scheduling slots per 1 ms subframe.
+func (c *Cell) SlotsPerSubframe() int { return c.rat.SlotsPerSubframe }
 
 // AttachMonitor registers a control-channel monitor; monitors run in
-// registration order after each subframe is scheduled.
+// registration order after each slot is scheduled. The report's Subframe
+// field carries the slot index.
 func (c *Cell) AttachMonitor(m Monitor) { c.monitors = append(c.monitors, m) }
 
-// AttachUser connects a UE to this cell under the given RNTI with the
-// given radio channel.
-func (c *Cell) AttachUser(ue *UE, rnti uint16, ch *phy.Channel) {
+// AttachUser connects a transport-block sink to this cell under the given
+// RNTI with the given radio channel.
+func (c *Cell) AttachUser(sink TBSink, rnti uint16, ch *phy.Channel) {
 	if _, dup := c.byRNTI[rnti]; dup {
 		panic("lte: duplicate RNTI on cell")
 	}
-	u := &cellUser{rnti: rnti, ue: ue, ch: ch}
+	u := &cellUser{rnti: rnti, sink: sink, ch: ch}
 	c.users = append(c.users, u)
 	c.byRNTI[rnti] = u
 }
 
-// DetachUser removes a user; queued packets are dropped (and released:
-// the cell was their last owner).
-func (c *Cell) DetachUser(rnti uint16) {
-	u, ok := c.byRNTI[rnti]
-	if !ok {
-		return
-	}
-	delete(c.byRNTI, rnti)
-	for i, v := range c.users {
-		if v == u {
-			c.users = append(c.users[:i], c.users[i+1:]...)
-			break
-		}
-	}
-	c.pool.ReleaseAll(u.queue[u.qHead:])
-	u.queue = u.queue[:0]
-	u.qHead, u.headSent, u.queuedBits = 0, 0, 0
-}
-
 // Enqueue adds a downlink packet to the user's queue at this cell. It
-// reports false if the RNTI is not attached. On either false path the
-// packet is dropped - callers never retry a refused packet - so the cell
-// releases it as its last owner.
+// reports false if the RNTI is not attached or the queue is full. On
+// either false path the packet is dropped - callers never retry a refused
+// packet - so the cell releases it as its last owner.
 func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
 	u, ok := c.byRNTI[rnti]
 	if !ok {
@@ -244,7 +280,8 @@ func (c *Cell) UserQueueBits(rnti uint16) int {
 	return 0
 }
 
-// UserRate returns the user's current physical rate in bits per PRB.
+// UserRate returns the user's current physical rate in bits per PRB per
+// slot.
 func (c *Cell) UserRate(rnti uint16) float64 {
 	if u, ok := c.byRNTI[rnti]; ok {
 		return u.ch.MCS().BitsPerPRB()
@@ -252,7 +289,13 @@ func (c *Cell) UserRate(rnti uint16) float64 {
 	return 0
 }
 
-// LastUserPRBs returns the PRBs granted to the user in the last subframe.
+// UserRateBps returns the rate the user would see alone on the whole
+// carrier, in bits per second.
+func (c *Cell) UserRateBps(rnti uint16) float64 {
+	return c.UserRate(rnti) * float64(c.NPRB) * (1000 * float64(c.rat.SlotsPerSubframe))
+}
+
+// LastUserPRBs returns the PRBs granted to the user in the last slot.
 func (c *Cell) LastUserPRBs(rnti uint16) int {
 	if u, ok := c.byRNTI[rnti]; ok {
 		return u.lastPRBs
@@ -261,7 +304,7 @@ func (c *Cell) LastUserPRBs(rnti uint16) int {
 }
 
 // LastUserServedBits returns the payload bits served to the user in the
-// last subframe.
+// last slot.
 func (c *Cell) LastUserServedBits(rnti uint16) int {
 	if u, ok := c.byRNTI[rnti]; ok {
 		return u.lastServedBits
@@ -269,86 +312,82 @@ func (c *Cell) LastUserServedBits(rnti uint16) int {
 	return 0
 }
 
-// prbsInRBGSpan counts PRBs in RBGs [first, first+n).
-func (c *Cell) prbsInRBGSpan(first, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	prbs := n * c.rbgSize
-	if first+n == c.nRBG {
-		if rem := c.NPRB % c.rbgSize; rem != 0 {
-			prbs -= c.rbgSize - rem
-		}
-	}
-	return prbs
+// rbgsLeft counts the RBGs at or after the cursor, the last one possibly
+// partial.
+func (c *Cell) rbgsLeft() int {
+	return (c.NPRB - c.cursor + c.rat.RBGSize - 1) / c.rat.RBGSize
 }
 
-// tick runs one subframe: advance channels, serve control users, serve
-// HARQ retransmissions, water-fill the remaining RBGs over backlogged
-// users, sample transport-block errors, and publish the control channel.
+// span returns the PRBs of an n-RBG grant at the cursor: n full RBGs, or
+// fewer PRBs when the grant reaches the band edge.
+func (c *Cell) span(n int) int { return min(n*c.rat.RBGSize, c.NPRB-c.cursor) }
+
+// place publishes a grant at the cursor and advances the cursor past it.
+func (c *Cell) place(a Alloc) {
+	a.FirstRBG = c.cursor / c.rat.RBGSize
+	c.rep.Allocs = append(c.rep.Allocs, a)
+	c.cursor += a.PRBs
+}
+
+// tick runs one slot: advance channels, serve control users, serve HARQ
+// retransmissions, water-fill the remaining RBGs over backlogged users,
+// sample transport-block errors, and publish the control channel.
+//
+// The cursor tracks PRBs rather than RBGs: control grants occupy
+// ControlUnitPRBs per unit, while HARQ and data grants are RBG-granular
+// over the remaining PRBs (the last grant absorbs the partial RBG at the
+// band edge). On LTE the control unit is one RBG, so the cursor stays
+// RBG-aligned.
 func (c *Cell) tick() {
 	now := c.eng.Now()
-	c.subframe++
+	c.slot++
 	for _, u := range c.users {
-		u.ch.Step(now, time.Millisecond)
+		u.ch.Step(now, c.slotDur)
 		u.lastPRBs = 0
 		u.lastServedBits = 0
 	}
 
-	// The report struct and its Allocs slice are reused across subframes;
+	// The report struct and its Allocs slice are reused across slots;
 	// monitor consumers must copy whatever they keep past the callback
 	// (core.Monitor and faults.WrapFeed both do).
 	rep := c.rep
-	rep.Subframe = c.subframe
+	rep.Subframe = c.slot
 	rep.Allocs = rep.Allocs[:0]
-	rbgLeft := c.nRBG
-	cursor := 0
+	c.cursor = 0
+	p := c.rat.RBGSize
 
-	// 1. Control-plane users occupy a few RBGs first.
-	if c.control != nil {
-		for _, g := range c.control.Tick(c.subframe, c.rng) {
-			n := g.RBGs
-			if n > rbgLeft {
-				n = rbgLeft
-			}
-			if n == 0 {
+	// 1. Control-plane users occupy a few PRBs first, on subframe
+	// boundaries so the per-ms signaling load matches the LTE calibration
+	// of package trace at any numerology.
+	if spf := c.rat.SlotsPerSubframe; c.control != nil && (c.slot-1)%spf == 0 {
+		mcs := phy.MCS{CQI: 5, Table: c.Table, Streams: 1}
+		for _, g := range c.control.Tick(1+(c.slot-1)/spf, c.rng) {
+			prbs := min(g.RBGs*c.rat.ControlUnitPRBs, c.NPRB-c.cursor)
+			if prbs == 0 {
 				break
 			}
-			prbs := c.prbsInRBGSpan(cursor, n)
-			mcs := phy.MCS{CQI: 5, Table: c.Table, Streams: 1}
-			rep.Allocs = append(rep.Allocs, Alloc{
-				RNTI: g.RNTI, FirstRBG: cursor, NumRBGs: n, PRBs: prbs,
+			c.ControlPRBs += uint64(prbs)
+			c.place(Alloc{
+				RNTI: g.RNTI, NumRBGs: (prbs + p - 1) / p, PRBs: prbs,
 				MCS: mcs, TBBits: int(float64(prbs) * mcs.BitsPerPRB()),
 				NDI: true, Control: true,
 			})
-			c.ControlPRBs += uint64(prbs)
-			cursor += n
-			rbgLeft -= n
 		}
 	}
 
-	// 2. HARQ retransmissions scheduled for this subframe.
-	if due := c.pendingRetx[c.subframe]; len(due) > 0 {
-		delete(c.pendingRetx, c.subframe)
+	// 2. HARQ retransmissions scheduled for this slot.
+	if due := c.pendingRetx[c.slot]; len(due) > 0 {
+		delete(c.pendingRetx, c.slot)
 		for i, tb := range due {
-			if _, attached := c.byRNTI[tb.user.rnti]; !attached {
-				continue
-			}
-			if tb.rbgs > rbgLeft {
-				// Control region exhausted: postpone the rest by one
-				// subframe.
-				c.pendingRetx[c.subframe+1] = append(c.pendingRetx[c.subframe+1], due[i:]...)
+			if tb.rbgs > c.rbgsLeft() {
+				// Control region exhausted: postpone the rest by one slot.
+				c.pendingRetx[c.slot+1] = append(c.pendingRetx[c.slot+1], due[i:]...)
 				break
 			}
-			prbs := c.prbsInRBGSpan(cursor, tb.rbgs)
-			rep.Allocs = append(rep.Allocs, Alloc{
-				RNTI: tb.user.rnti, FirstRBG: cursor, NumRBGs: tb.rbgs, PRBs: prbs,
-				MCS: tb.mcs, TBBits: tb.bits, NDI: false,
-			})
+			prbs := c.span(tb.rbgs)
 			c.RetxPRBs += uint64(prbs)
 			tb.user.lastPRBs += prbs
-			cursor += tb.rbgs
-			rbgLeft -= tb.rbgs
+			c.place(Alloc{RNTI: tb.user.rnti, NumRBGs: tb.rbgs, PRBs: prbs, MCS: tb.mcs, TBBits: tb.bits})
 			c.transmit(tb)
 		}
 	}
@@ -359,42 +398,42 @@ func (c *Cell) tick() {
 	// share capacity under one fairness policy.
 	blUsers := c.blUsers[:0]
 	wants := c.wants[:0]
-	for _, u := range c.users {
+	off := 0
+	if c.rat.RotateOrder {
+		off = c.slot
+	}
+	for k := range c.users {
+		u := c.users[(k+off)%len(c.users)]
 		if u.queuedBits <= 0 || !u.ch.MCS().Valid() {
 			continue
 		}
-		perRBG := u.ch.MCS().BitsPerPRB() * float64(c.rbgSize)
-		w := int(float64(u.queuedBits)/perRBG) + 1
+		perRBG := u.ch.MCS().BitsPerPRB() * float64(p)
 		blUsers = append(blUsers, u)
-		wants = append(wants, w)
+		wants = append(wants, int(float64(u.queuedBits)/perRBG)+1)
 	}
 	var bg []BackgroundDemand
 	if c.background != nil {
 		bg = c.background.Demand(now)
 		for i := range bg {
-			perRBG := bg[i].MCS.BitsPerPRB() * float64(c.rbgSize)
+			perRBG := bg[i].MCS.BitsPerPRB() * float64(p)
 			wants = append(wants, int(float64(bg[i].Bits)/perRBG)+1)
 		}
 	}
 	c.blUsers, c.wants = blUsers, wants
-	grants := c.wf.Fill(wants, rbgLeft, c.subframe)
+	// Grants never exceed the RBGs left, so every granted span has PRBs.
+	grants := c.wf.Fill(wants, c.rbgsLeft(), c.slot)
 	for i, u := range blUsers {
 		n := grants[i]
 		if n == 0 {
 			continue
 		}
-		prbs := c.prbsInRBGSpan(cursor, n)
+		prbs := c.span(n)
 		mcs := u.ch.MCS()
 		bits := int(float64(prbs) * mcs.BitsPerPRB())
 		tb := c.buildTB(u, n, prbs, bits, mcs)
-		rep.Allocs = append(rep.Allocs, Alloc{
-			RNTI: u.rnti, FirstRBG: cursor, NumRBGs: n, PRBs: prbs,
-			MCS: mcs, TBBits: bits, NDI: true,
-		})
 		c.DataPRBs += uint64(prbs)
 		u.lastPRBs += prbs
-		cursor += n
-		rbgLeft -= n
+		c.place(Alloc{RNTI: u.rnti, NumRBGs: n, PRBs: prbs, MCS: mcs, TBBits: bits, NDI: true})
 		c.transmit(tb)
 	}
 	for i := range bg {
@@ -402,15 +441,10 @@ func (c *Cell) tick() {
 		if n == 0 {
 			continue
 		}
-		prbs := c.prbsInRBGSpan(cursor, n)
+		prbs := c.span(n)
 		bits := int(float64(prbs) * bg[i].MCS.BitsPerPRB())
-		rep.Allocs = append(rep.Allocs, Alloc{
-			RNTI: bg[i].RNTI, FirstRBG: cursor, NumRBGs: n, PRBs: prbs,
-			MCS: bg[i].MCS, TBBits: bits, NDI: true,
-		})
 		c.FluidPRBs += uint64(prbs)
-		cursor += n
-		rbgLeft -= n
+		c.place(Alloc{RNTI: bg[i].RNTI, NumRBGs: n, PRBs: prbs, MCS: bg[i].MCS, TBBits: bits, NDI: true})
 		c.background.Serve(i, bits)
 	}
 
@@ -467,61 +501,86 @@ func (c *Cell) buildTB(u *cellUser, rbgs, prbs, bits int, mcs phy.MCS) *transpor
 	return tb
 }
 
-// transmit samples the block error process for one attempt and schedules
-// either in-order delivery at the next subframe boundary or a HARQ
-// retransmission eight subframes later. After the maximum number of
-// retransmissions the block is declared lost and the receiver's reordering
-// buffer is released (its packets never arrive).
+// transmit samples the error process of one attempt per outstanding
+// code-block group (one group under whole-TB HARQ) and schedules either
+// in-order delivery at the next slot boundary or a HARQ retransmission
+// HARQDelaySubframes slots later. Under code-block-group HARQ the
+// retransmission carries only the failed groups, in a proportionally
+// smaller grant. After the maximum number of retransmissions the block is
+// declared lost and the sink's reordering state advances without its
+// packets.
 func (c *Cell) transmit(tb *transportBlock) {
 	c.TotalTBs++
-	ue := tb.user.ue
-	var errored bool
-	if c.ErrorModel != nil {
-		errored = c.ErrorModel(tb.user.rnti, tb.seq, tb.attempts, tb.bits, tb.user.ch.BER())
-	} else {
-		errored = c.rng.Float64() < phy.TBErrorRate(tb.user.ch.BER(), tb.bits)
+	cbg := c.rat.CBGBits
+	if tb.attempts == 0 {
+		tb.cbTotal = 1
+		if cbg > 0 {
+			tb.cbTotal = max(1, (tb.bits+cbg-1)/cbg)
+		}
+		tb.cbOutstanding = tb.cbTotal
 	}
-	if !errored {
-		c.queueDelivery(ue, tb, true)
+	failed := 0
+	if c.ErrorModel != nil {
+		if c.ErrorModel(tb.user.rnti, tb.seq, tb.attempts, tb.bits, tb.user.ch.BER()) {
+			failed = tb.cbOutstanding
+		}
+	} else {
+		groupBits := tb.bits
+		if cbg > 0 {
+			groupBits = cbg
+		}
+		pcb := phy.TBErrorRate(tb.user.ch.BER(), groupBits)
+		for i := 0; i < tb.cbOutstanding; i++ {
+			if c.rng.Float64() < pcb {
+				failed++
+			}
+		}
+	}
+	if failed == 0 {
+		c.queueDelivery(tb, true)
 		return
 	}
 	c.ErrorTBs++
 	tb.attempts++
 	if tb.attempts > MaxRetransmissions {
 		c.LostTBs++
-		c.queueDelivery(ue, tb, false)
+		c.queueDelivery(tb, false)
 		return
 	}
-	retxAt := c.subframe + HARQDelaySubframes
+	if cbg > 0 {
+		tb.cbOutstanding = failed
+		tb.rbgs = max(1, (tb.rbgs*failed+tb.cbTotal-1)/tb.cbTotal)
+		tb.bits = failed * cbg
+	}
+	retxAt := c.slot + HARQDelaySubframes
 	c.pendingRetx[retxAt] = append(c.pendingRetx[retxAt], tb)
 }
 
 // queueDelivery appends the block's outcome to the coalesced delivery
 // queue and recycles the block struct (its packets now belong to the
-// queue entry, then to the UE's reorder buffer). The queue is drained by
-// one pre-bound event at the next subframe boundary - scheduled on the
-// first delivery of the tick, so a subframe costs one delivery event no
-// matter how many blocks it carries. Order within the event equals
-// transmit order, exactly the order the per-block events fired in before
-// coalescing; the queue is only appended to during tick, never while
-// draining.
-func (c *Cell) queueDelivery(ue *UE, tb *transportBlock, ok bool) {
-	c.deliveries = append(c.deliveries, tbDelivery{ue: ue, seq: tb.seq, pkts: tb.completed, ok: ok})
+// queue entry, then to the sink's reorder buffer). The queue is drained by
+// one pre-bound event at the next slot boundary - scheduled on the first
+// delivery of the tick, so a slot costs one delivery event no matter how
+// many blocks it carries. Order within the event equals transmit order,
+// exactly the order the per-block events fired in before coalescing; the
+// queue is only appended to during tick, never while draining.
+func (c *Cell) queueDelivery(tb *transportBlock, ok bool) {
+	c.deliveries = append(c.deliveries, tbDelivery{sink: tb.user.sink, seq: tb.seq, pkts: tb.completed, ok: ok})
 	if !c.deliverArmed {
 		c.deliverArmed = true
-		c.eng.Schedule(time.Millisecond, c.deliverFn)
+		c.eng.Schedule(c.slotDur, c.deliverFn)
 	}
 	*tb = transportBlock{}
 	c.tbFree = append(c.tbFree, tb)
 }
 
-// deliverPending hands every queued transport-block outcome to its UE.
+// deliverPending hands every queued transport-block outcome to its sink.
 func (c *Cell) deliverPending() {
 	c.deliverArmed = false
 	ds := c.deliveries
 	for i := range ds {
 		d := &ds[i]
-		d.ue.deliverTB(c.ID, d.seq, d.pkts, d.ok)
+		d.sink.DeliverTB(c.ID, d.seq, d.pkts, d.ok)
 		*d = tbDelivery{}
 	}
 	c.deliveries = ds[:0]

@@ -311,23 +311,6 @@ func (s *stubControl) Tick(subframe int, rng *rand.Rand) []ControlGrant {
 	return s.grants
 }
 
-func TestDetachUser(t *testing.T) {
-	eng := sim.New(9)
-	ue, cell, sink := newTestUE(eng, 100, -85)
-	fillQueue(ue, 100)
-	eng.RunUntil(5 * time.Millisecond)
-	cell.DetachUser(61)
-	before := len(sink.packets)
-	eng.RunUntil(50 * time.Millisecond)
-	// In-flight TBs may still deliver, but no new scheduling happens.
-	if cell.UserQueueBits(61) != 0 {
-		t.Fatal("queue must report 0 after detach")
-	}
-	if len(sink.packets) > before+200 {
-		t.Fatal("detached user kept being scheduled")
-	}
-}
-
 func TestEnqueueUnknownRNTI(t *testing.T) {
 	eng := sim.New(10)
 	cell := NewCell(eng, 1, 100, phy.Table64QAM, nil)
@@ -365,17 +348,36 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestPRBsInRBGSpanLastGroup checks the band edge of a 50-PRB cell (P=3,
+// 17 RBGs, the last holding 2 PRBs) through the control report: a control
+// grant of 16 RBGs leaves exactly the partial RBG to a saturated user.
 func TestPRBsInRBGSpanLastGroup(t *testing.T) {
 	eng := sim.New(12)
-	cell := NewCell(eng, 1, 50, phy.Table64QAM, nil) // P=3, 17 RBGs, last has 2
-	if got := cell.prbsInRBGSpan(0, 17); got != 50 {
-		t.Fatalf("full span = %d PRBs, want 50", got)
+	src := &stubControl{}
+	cell := NewCell(eng, 1, 50, phy.Table64QAM, src)
+	ue := NewUE(eng, 1, 61)
+	ue.AddCell(cell, phy.NewStaticChannel(-85, phy.Table64QAM, nil))
+	ue.SetDefaultHandler(&netsim.Sink{})
+	fillQueue(ue, 1000)
+	var reps []SubframeReport
+	cell.AttachMonitor(func(rep *SubframeReport) {
+		cp := *rep
+		cp.Allocs = append([]Alloc(nil), rep.Allocs...)
+		reps = append(reps, cp)
+	})
+	eng.RunUntil(time.Millisecond)
+	src.grants = []ControlGrant{{RNTI: 5000, RBGs: 16}}
+	eng.RunUntil(2 * time.Millisecond)
+
+	if a := reps[0].Allocs; len(a) != 1 || a[0].NumRBGs != 17 || a[0].PRBs != 50 {
+		t.Fatalf("full span = %+v, want one 17-RBG grant of 50 PRBs", a)
 	}
-	if got := cell.prbsInRBGSpan(16, 1); got != 2 {
-		t.Fatalf("last RBG = %d PRBs, want 2", got)
+	a := reps[1].Allocs
+	if len(a) != 2 || a[0].PRBs != 48 || a[1].FirstRBG != 16 || a[1].NumRBGs != 1 || a[1].PRBs != 2 {
+		t.Fatalf("allocs = %+v, want 48 control PRBs then the last RBG of 2 PRBs", a)
 	}
-	if got := cell.prbsInRBGSpan(0, 0); got != 0 {
-		t.Fatalf("empty span = %d", got)
+	if reps[1].IdlePRBs() != 0 {
+		t.Fatalf("idle PRBs = %d, want 0", reps[1].IdlePRBs())
 	}
 }
 

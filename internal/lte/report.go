@@ -7,6 +7,11 @@
 // emission of every user's control information, which is what the PBE-CC
 // monitor decodes.
 //
+// Cell is the one scheduler kernel of both RATs: NewCell runs it with
+// LTE's constants and package nr runs it with NR's (see RAT). Receiver,
+// Router and LoadWindow are the device-side pieces the LTE UE, the NR UE
+// and the EN-DC UE share.
+//
 // It replaces the commercial cells and USRP radios of the paper's testbed;
 // see DESIGN.md for the substitution argument.
 package lte

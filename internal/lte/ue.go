@@ -27,64 +27,35 @@ const (
 // per cell, releases packets in order to per-flow receivers, and runs the
 // network side's carrier (de)activation policy.
 type UE struct {
-	eng  *sim.Engine
+	Receiver
 	ID   int
 	RNTI uint16
 
-	cells    []*Cell
-	channels []*phy.Channel
-	active   int
-	pool     *netsim.PacketPool
-
-	flows       map[int]netsim.Handler
-	defaultFlow netsim.Handler
-
-	reorder map[int]*reorderState
+	cells  []*Cell
+	active int
 
 	onActiveChange []func(active []*Cell)
 
 	// CA decision state.
 	caEnabled    bool
-	demandRing   []bool
-	demandIdx    int
-	demandFill   int
-	servedRing   []int
-	servedIdx    int
-	servedFill   int
-	servedSum    int64
+	window       LoadWindow
 	lastCAChange time.Duration
 	ticker       *sim.Ticker
 
 	// Counters.
-	LostPackets   uint64
-	Delivered     uint64
 	Activations   uint64
 	Deactivations uint64
-}
-
-type reorderState struct {
-	next    uint64
-	pending map[uint64]tbArrival
-}
-
-type tbArrival struct {
-	packets []*netsim.Packet
-	ok      bool
 }
 
 // NewUE creates a UE; add component carriers with AddCell (primary first),
 // then Start.
 func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
 	return &UE{
-		eng:        eng,
-		ID:         id,
-		RNTI:       rnti,
-		pool:       netsim.PoolOf(eng),
-		flows:      make(map[int]netsim.Handler),
-		reorder:    make(map[int]*reorderState),
-		caEnabled:  true,
-		demandRing: make([]bool, caDecisionWindow),
-		servedRing: make([]int, caDeactWindow),
+		Receiver:  NewReceiver(eng),
+		ID:        id,
+		RNTI:      rnti,
+		caEnabled: true,
+		window:    NewLoadWindow(caDecisionWindow, caDeactWindow),
 	}
 }
 
@@ -92,16 +63,8 @@ func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
 // cell. The UE attaches to the cell immediately, but packets are only
 // dispatched to active carriers.
 func (u *UE) AddCell(c *Cell, ch *phy.Channel) {
-	if c.eng != u.eng {
-		// Cells and their users share one event engine; in sharded runs a
-		// UE spanning shards would race its own carriers. Only netsim
-		// links may cross a shard boundary.
-		panic("lte: UE and cell live on different engines (shard boundary)")
-	}
-	c.AttachUser(u, u.RNTI, ch)
+	u.Attach(c, u.RNTI, ch)
 	u.cells = append(u.cells, c)
-	u.channels = append(u.channels, ch)
-	u.reorder[c.ID] = &reorderState{pending: make(map[uint64]tbArrival)}
 	if u.active == 0 {
 		u.active = 1
 	}
@@ -138,12 +101,6 @@ func (u *UE) OnActiveChange(fn func(active []*Cell)) {
 	u.onActiveChange = append(u.onActiveChange, fn)
 }
 
-// RegisterFlow routes released packets with the given flow ID to h.
-func (u *UE) RegisterFlow(flowID int, h netsim.Handler) { u.flows[flowID] = h }
-
-// SetDefaultHandler routes packets of unregistered flows.
-func (u *UE) SetDefaultHandler(h netsim.Handler) { u.defaultFlow = h }
-
 // HandlePacket dispatches an arriving downlink packet to the active cell
 // with the smallest estimated drain time, implementing the network's
 // bearer split across aggregated carriers.
@@ -167,12 +124,110 @@ func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	u.cells[best].Enqueue(u.RNTI, p)
 }
 
-// deliverTB receives one transport block's completed packets from a cell
+// tick runs once per subframe after the cells have scheduled, sampling
+// demand and served load for the carrier-aggregation policy.
+func (u *UE) tick() {
+	queued := 0
+	userPRBs := 0
+	totalPRBs := 0
+	served := 0
+	for i := 0; i < u.active; i++ {
+		c := u.cells[i]
+		queued += c.UserQueueBits(u.RNTI)
+		userPRBs += c.LastUserPRBs(u.RNTI)
+		totalPRBs += c.NPRB
+		served += c.LastUserServedBits(u.RNTI)
+	}
+	u.window.Add(queued >= caBacklogBits ||
+		float64(userPRBs) >= caOccupancyFrac*float64(totalPRBs), served)
+	if !u.caEnabled {
+		return
+	}
+	now := u.eng.Now()
+
+	// Activation: sustained demand over the decision window.
+	if u.active < len(u.cells) && now-u.lastCAChange >= caActivateHoldoff &&
+		u.window.Sustained(caActivateFrac) {
+		u.active++
+		u.Activations++
+		u.lastCAChange = now
+		u.window.Reset()
+		u.notifyActiveChange()
+		return
+	}
+
+	// Deactivation: the served load of the last window would fit
+	// comfortably in the active cells minus the last one.
+	if sum, full := u.window.Served(); u.active > 1 && full &&
+		now-u.lastCAChange >= caDeactHoldoff {
+		var capMinusLast float64
+		for i := 0; i < u.active-1; i++ {
+			c := u.cells[i]
+			capMinusLast += c.UserRate(u.RNTI) * float64(c.NPRB) * float64(caDeactWindow)
+		}
+		if float64(sum) <= caDeactFrac*capMinusLast {
+			u.active--
+			u.Deactivations++
+			u.lastCAChange = now
+			u.window.Reset()
+			u.notifyActiveChange()
+		}
+	}
+}
+
+func (u *UE) notifyActiveChange() {
+	act := u.ActiveCells()
+	for _, fn := range u.onActiveChange {
+		fn(act)
+	}
+}
+
+// Receiver is the device side that LTE and NR UEs share: it reorders
+// HARQ-delayed transport blocks per cell (the reordering buffer of
+// Figure 3) and releases their packets in order through a Router. It
+// implements TBSink.
+type Receiver struct {
+	Router
+	reorder map[int]*reorderState
+
+	// Counters.
+	LostPackets uint64
+	Delivered   uint64
+}
+
+type reorderState struct {
+	next    uint64
+	pending map[uint64]tbArrival
+}
+
+type tbArrival struct {
+	packets []*netsim.Packet
+	ok      bool
+}
+
+// NewReceiver returns a receiver on eng with no cells attached.
+func NewReceiver(eng *sim.Engine) Receiver {
+	return Receiver{Router: NewRouter(eng), reorder: make(map[int]*reorderState)}
+}
+
+// Attach connects the receiver to cell c under rnti with radio channel ch
+// and opens the cell's reorder buffer.
+func (r *Receiver) Attach(c *Cell, rnti uint16, ch *phy.Channel) {
+	if c.eng != r.eng {
+		// Cells and their users share one event engine; in sharded runs a
+		// UE spanning shards would race its own carriers. Only netsim
+		// links may cross a shard boundary.
+		panic("lte: UE and cell live on different engines (shard boundary)")
+	}
+	c.AttachUser(r, rnti, ch)
+	r.reorder[c.ID] = &reorderState{pending: make(map[uint64]tbArrival)}
+}
+
+// DeliverTB receives one transport block's completed packets from a cell
 // (ok=false marks a block lost after exhausting HARQ retransmissions) and
-// releases packets in per-cell order, modeling the reordering buffer of
-// Figure 3.
-func (u *UE) deliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool) {
-	st := u.reorder[cellID]
+// releases packets in per-cell order.
+func (r *Receiver) DeliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool) {
+	st := r.reorder[cellID]
 	if st == nil {
 		return
 	}
@@ -188,113 +243,110 @@ func (u *UE) deliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool
 			if !a.ok {
 				// Lost after exhausting HARQ: the packets never reach a
 				// flow handler, so the reorder buffer is their last owner.
-				u.LostPackets++
-				u.pool.Release(p)
+				r.LostPackets++
+				r.pool.Release(p)
 				continue
 			}
-			u.Delivered++
-			u.route(p)
+			r.Delivered++
+			r.Route(p)
 		}
 	}
 }
 
-func (u *UE) route(p *netsim.Packet) {
-	h := u.flows[p.FlowID]
+// Router hands released packets to per-flow handlers.
+type Router struct {
+	eng         *sim.Engine
+	pool        *netsim.PacketPool
+	flows       map[int]netsim.Handler
+	defaultFlow netsim.Handler
+}
+
+// NewRouter returns a router on eng with no handlers.
+func NewRouter(eng *sim.Engine) Router {
+	return Router{eng: eng, pool: netsim.PoolOf(eng), flows: make(map[int]netsim.Handler)}
+}
+
+// RegisterFlow routes released packets with the given flow ID to h.
+func (r *Router) RegisterFlow(flowID int, h netsim.Handler) { r.flows[flowID] = h }
+
+// SetDefaultHandler routes packets of unregistered flows.
+func (r *Router) SetDefaultHandler(h netsim.Handler) { r.defaultFlow = h }
+
+// Route hands p to its flow's handler, or else to the default handler.
+// With neither, the packet is dropped here and released to the pool: the
+// router was its last owner.
+func (r *Router) Route(p *netsim.Packet) {
+	h := r.flows[p.FlowID]
 	if h == nil {
-		h = u.defaultFlow
+		h = r.defaultFlow
 	}
 	if h != nil {
-		h.HandlePacket(u.eng.Now(), p)
+		h.HandlePacket(r.eng.Now(), p)
 		return
 	}
-	u.pool.Release(p) // no handler: dropped at the UE
+	r.pool.Release(p)
 }
 
-// tick runs once per subframe after the cells have scheduled, sampling
-// demand and served load for the carrier-aggregation policy.
-func (u *UE) tick() {
-	queued := 0
-	userPRBs := 0
-	totalPRBs := 0
-	served := 0
-	for i := 0; i < u.active; i++ {
-		c := u.cells[i]
-		queued += c.UserQueueBits(u.RNTI)
-		userPRBs += c.LastUserPRBs(u.RNTI)
-		totalPRBs += c.NPRB
-		served += c.LastUserServedBits(u.RNTI)
-	}
-	demand := queued >= caBacklogBits ||
-		float64(userPRBs) >= caOccupancyFrac*float64(totalPRBs)
-	u.demandRing[u.demandIdx] = demand
-	u.demandIdx = (u.demandIdx + 1) % len(u.demandRing)
-	if u.demandFill < len(u.demandRing) {
-		u.demandFill++
-	}
-	u.servedSum += int64(served) - int64(u.servedRing[u.servedIdx])
-	u.servedRing[u.servedIdx] = served
-	u.servedIdx = (u.servedIdx + 1) % len(u.servedRing)
-	if u.servedFill < len(u.servedRing) {
-		u.servedFill++
-	}
-	if !u.caEnabled {
-		return
-	}
-	now := u.eng.Now()
+// LoadWindow is the per-subframe record behind secondary-carrier
+// activation, shared by LTE carrier aggregation and the EN-DC secondary
+// cell group: a ring of demand flags for the activation decision and a
+// ring of served bits for the deactivation decision.
+type LoadWindow struct {
+	demand     []bool
+	demandIdx  int
+	demandFill int
+	served     []int
+	servedIdx  int
+	servedFill int
+	servedSum  int64
+}
 
-	// Activation: sustained demand over the decision window.
-	if u.active < len(u.cells) && u.demandFill == len(u.demandRing) &&
-		now-u.lastCAChange >= caActivateHoldoff {
-		cnt := 0
-		for _, d := range u.demandRing {
-			if d {
-				cnt++
-			}
-		}
-		if float64(cnt) >= caActivateFrac*float64(len(u.demandRing)) {
-			u.active++
-			u.Activations++
-			u.lastCAChange = now
-			u.resetCAWindows()
-			u.notifyActiveChange()
-			return
-		}
-	}
+// NewLoadWindow returns an empty window over demandLen subframes of
+// demand and servedLen subframes of served load.
+func NewLoadWindow(demandLen, servedLen int) LoadWindow {
+	return LoadWindow{demand: make([]bool, demandLen), served: make([]int, servedLen)}
+}
 
-	// Deactivation: the served load of the last window would fit
-	// comfortably in the active cells minus the last one.
-	if u.active > 1 && u.servedFill == len(u.servedRing) &&
-		now-u.lastCAChange >= caDeactHoldoff {
-		var capMinusLast float64
-		for i := 0; i < u.active-1; i++ {
-			c := u.cells[i]
-			capMinusLast += c.UserRate(u.RNTI) * float64(c.NPRB) * float64(len(u.servedRing))
-		}
-		if float64(u.servedSum) <= caDeactFrac*capMinusLast {
-			u.active--
-			u.Deactivations++
-			u.lastCAChange = now
-			u.resetCAWindows()
-			u.notifyActiveChange()
-		}
+// Add records one subframe's demand flag and served bits.
+func (w *LoadWindow) Add(demand bool, served int) {
+	w.demand[w.demandIdx] = demand
+	w.demandIdx = (w.demandIdx + 1) % len(w.demand)
+	if w.demandFill < len(w.demand) {
+		w.demandFill++
+	}
+	w.servedSum += int64(served) - int64(w.served[w.servedIdx])
+	w.served[w.servedIdx] = served
+	w.servedIdx = (w.servedIdx + 1) % len(w.served)
+	if w.servedFill < len(w.served) {
+		w.servedFill++
 	}
 }
 
-func (u *UE) resetCAWindows() {
-	for i := range u.demandRing {
-		u.demandRing[i] = false
+// Sustained reports whether the demand ring is full and at least frac of
+// its subframes showed demand.
+func (w *LoadWindow) Sustained(frac float64) bool {
+	if w.demandFill < len(w.demand) {
+		return false
 	}
-	u.demandFill = 0
-	for i := range u.servedRing {
-		u.servedRing[i] = 0
+	cnt := 0
+	for _, d := range w.demand {
+		if d {
+			cnt++
+		}
 	}
-	u.servedSum = 0
-	u.servedFill = 0
+	return float64(cnt) >= frac*float64(len(w.demand))
 }
 
-func (u *UE) notifyActiveChange() {
-	act := u.ActiveCells()
-	for _, fn := range u.onActiveChange {
-		fn(act)
-	}
+// Served returns the bits served over the served ring and whether the
+// ring is full.
+func (w *LoadWindow) Served() (sum int64, full bool) {
+	return w.servedSum, w.servedFill == len(w.served)
+}
+
+// Reset empties both rings, restarting the decision windows after the
+// active carrier set changes.
+func (w *LoadWindow) Reset() {
+	clear(w.demand)
+	clear(w.served)
+	w.demandFill, w.servedSum, w.servedFill = 0, 0, 0
 }

@@ -31,6 +31,10 @@ const (
 // RATs by estimated drain time, each leg reorders its own HARQ-delayed
 // transport blocks, and released packets merge into per-flow receivers.
 type ENDC struct {
+	// Router merges the packets both legs release into per-flow
+	// handlers.
+	lte.Router
+
 	eng  *sim.Engine
 	ID   int
 	RNTI uint16
@@ -39,22 +43,13 @@ type ENDC struct {
 	nrLeg  *UE
 	nrCell *Cell
 
-	flows       map[int]netsim.Handler
-	defaultFlow netsim.Handler
-
 	nrActive bool
 	enabled  bool
 
 	onSecondaryChange []func(active bool)
 
 	// SCG decision state, sampled on the anchor's subframe clock.
-	demandRing []bool
-	demandIdx  int
-	demandFill int
-	servedRing []int
-	servedIdx  int
-	servedFill int
-	servedSum  int64
+	window     lte.LoadWindow
 	lastChange time.Duration
 	ticker     *sim.Ticker
 
@@ -70,19 +65,18 @@ type ENDC struct {
 // stays inactive until demand activates it.
 func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *lte.UE, nrCell *Cell, nrCh *phy.Channel) *ENDC {
 	e := &ENDC{
-		eng:        eng,
-		ID:         id,
-		RNTI:       rnti,
-		anchor:     anchor,
-		nrCell:     nrCell,
-		enabled:    true,
-		flows:      make(map[int]netsim.Handler),
-		demandRing: make([]bool, scgDecisionWindow),
-		servedRing: make([]int, scgDeactWindow),
+		Router:  lte.NewRouter(eng),
+		eng:     eng,
+		ID:      id,
+		RNTI:    rnti,
+		anchor:  anchor,
+		nrCell:  nrCell,
+		enabled: true,
+		window:  lte.NewLoadWindow(scgDecisionWindow, scgDeactWindow),
 	}
 	e.nrLeg = NewUE(eng, id, rnti)
 	e.nrLeg.AddCell(nrCell, nrCh)
-	merge := netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) { e.route(now, p) })
+	merge := netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) { e.Route(p) })
 	anchor.SetDefaultHandler(merge)
 	e.nrLeg.SetDefaultHandler(merge)
 	return e
@@ -107,12 +101,6 @@ func (e *ENDC) SetDualConnectivity(on bool) { e.enabled = on }
 func (e *ENDC) OnSecondaryChange(fn func(active bool)) {
 	e.onSecondaryChange = append(e.onSecondaryChange, fn)
 }
-
-// RegisterFlow routes released packets with the given flow ID to h.
-func (e *ENDC) RegisterFlow(flowID int, h netsim.Handler) { e.flows[flowID] = h }
-
-// SetDefaultHandler routes packets of unregistered flows.
-func (e *ENDC) SetDefaultHandler(h netsim.Handler) { e.defaultFlow = h }
 
 // Start begins the anchor's carrier-aggregation bookkeeping and the EN-DC
 // secondary-activation policy on the subframe clock.
@@ -170,7 +158,7 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 func (e *ENDC) anchorRateBps() float64 {
 	var rate float64
 	for _, c := range e.anchor.ActiveCells() {
-		rate += c.UserRate(e.RNTI) * float64(c.NPRB) * 1000
+		rate += c.UserRateBps(e.RNTI)
 	}
 	return rate
 }
@@ -183,16 +171,6 @@ func (e *ENDC) anchorQueueBits() int {
 		bits += c.UserQueueBits(e.RNTI)
 	}
 	return bits
-}
-
-func (e *ENDC) route(now time.Duration, p *netsim.Packet) {
-	h := e.flows[p.FlowID]
-	if h == nil {
-		h = e.defaultFlow
-	}
-	if h != nil {
-		h.HandlePacket(now, p)
-	}
 }
 
 // tick runs once per subframe, sampling anchor demand and total served
@@ -213,45 +191,26 @@ func (e *ENDC) tick() {
 		// estimate for the deactivation decision.
 		served += e.nrCell.LastUserServedBits(e.RNTI) * e.nrCell.SlotsPerSubframe()
 	}
-	demand := queued >= scgBacklogBits ||
-		float64(userPRBs) >= scgOccupancyFrac*float64(totalPRBs)
-	e.demandRing[e.demandIdx] = demand
-	e.demandIdx = (e.demandIdx + 1) % len(e.demandRing)
-	if e.demandFill < len(e.demandRing) {
-		e.demandFill++
-	}
-	e.servedSum += int64(served) - int64(e.servedRing[e.servedIdx])
-	e.servedRing[e.servedIdx] = served
-	e.servedIdx = (e.servedIdx + 1) % len(e.servedRing)
-	if e.servedFill < len(e.servedRing) {
-		e.servedFill++
-	}
+	e.window.Add(queued >= scgBacklogBits ||
+		float64(userPRBs) >= scgOccupancyFrac*float64(totalPRBs), served)
 	if !e.enabled {
 		return
 	}
 	now := e.eng.Now()
 
 	// Activation: sustained demand on the anchor over the decision window.
-	if !e.nrActive && e.demandFill == len(e.demandRing) &&
-		now-e.lastChange >= scgActivateHoldoff {
-		cnt := 0
-		for _, d := range e.demandRing {
-			if d {
-				cnt++
-			}
-		}
-		if float64(cnt) >= scgActivateFrac*float64(len(e.demandRing)) {
-			e.setNRActive(now, true)
-			return
-		}
+	if !e.nrActive && now-e.lastChange >= scgActivateHoldoff &&
+		e.window.Sustained(scgActivateFrac) {
+		e.setNRActive(now, true)
+		return
 	}
 
 	// Deactivation: the served load of the last window would fit
 	// comfortably in the anchor alone.
-	if e.nrActive && e.servedFill == len(e.servedRing) &&
+	if sum, full := e.window.Served(); e.nrActive && full &&
 		now-e.lastChange >= scgDeactHoldoff {
-		anchorCap := e.anchorRateBps() / 1000 * float64(len(e.servedRing))
-		if float64(e.servedSum) <= scgDeactFrac*anchorCap {
+		anchorCap := e.anchorRateBps() / 1000 * float64(scgDeactWindow)
+		if float64(sum) <= scgDeactFrac*anchorCap {
 			e.setNRActive(now, false)
 		}
 	}
@@ -265,15 +224,7 @@ func (e *ENDC) setNRActive(now time.Duration, active bool) {
 	} else {
 		e.Deactivations++
 	}
-	for i := range e.demandRing {
-		e.demandRing[i] = false
-	}
-	e.demandFill = 0
-	for i := range e.servedRing {
-		e.servedRing[i] = 0
-	}
-	e.servedSum = 0
-	e.servedFill = 0
+	e.window.Reset()
 	for _, fn := range e.onSecondaryChange {
 		fn(active)
 	}

@@ -3,6 +3,7 @@ package nr
 import (
 	"time"
 
+	"pbecc/internal/lte"
 	"pbecc/internal/netsim"
 	"pbecc/internal/phy"
 	"pbecc/internal/sim"
@@ -15,75 +16,27 @@ import (
 // semi-statically configured; dynamic secondary activation is the EN-DC
 // UE's job.
 type UE struct {
-	eng  *sim.Engine
+	lte.Receiver
 	ID   int
 	RNTI uint16
 
-	cells    []*Cell
-	channels []*phy.Channel
-	pool     *netsim.PacketPool
-
-	flows       map[int]netsim.Handler
-	defaultFlow netsim.Handler
-
-	reorder map[int]*reorderState
-
-	// Counters.
-	LostPackets uint64
-	Delivered   uint64
-}
-
-type reorderState struct {
-	next    uint64
-	pending map[uint64]tbArrival
-}
-
-type tbArrival struct {
-	packets []*netsim.Packet
-	ok      bool
+	cells []*Cell
 }
 
 // NewUE creates an NR UE; add carriers with AddCell.
 func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
-	return &UE{
-		eng:     eng,
-		ID:      id,
-		RNTI:    rnti,
-		pool:    netsim.PoolOf(eng),
-		flows:   make(map[int]netsim.Handler),
-		reorder: make(map[int]*reorderState),
-	}
+	return &UE{Receiver: lte.NewReceiver(eng), ID: id, RNTI: rnti}
 }
 
 // AddCell attaches the UE to an NR carrier with the given radio channel.
 func (u *UE) AddCell(c *Cell, ch *phy.Channel) {
-	if c.eng != u.eng {
-		// Same invariant as the LTE leg: a device is pinned to the shard
-		// of its cells, and only netsim links may cross shards.
-		panic("nr: UE and cell live on different engines (shard boundary)")
-	}
-	c.AttachUser(u, u.RNTI, ch)
+	u.Attach(c.Cell, u.RNTI, ch)
 	u.cells = append(u.cells, c)
-	u.channels = append(u.channels, ch)
-	u.reorder[c.ID] = &reorderState{pending: make(map[uint64]tbArrival)}
 }
 
 // Cells returns the attached carriers. The returned slice must not be
 // modified.
 func (u *UE) Cells() []*Cell { return u.cells }
-
-// RegisterFlow routes released packets with the given flow ID to h.
-func (u *UE) RegisterFlow(flowID int, h netsim.Handler) { u.flows[flowID] = h }
-
-// SetDefaultHandler routes packets of unregistered flows.
-func (u *UE) SetDefaultHandler(h netsim.Handler) { u.defaultFlow = h }
-
-// Start exists for interface parity with the LTE UE; the NR UE needs no
-// per-slot bookkeeping of its own.
-func (u *UE) Start() {}
-
-// Stop is the counterpart of Start.
-func (u *UE) Stop() {}
 
 // HandlePacket dispatches an arriving downlink packet to the carrier with
 // the smallest estimated drain time, comparing cells of different
@@ -105,46 +58,4 @@ func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 		best = 0
 	}
 	u.cells[best].Enqueue(u.RNTI, p)
-}
-
-// DeliverTB implements TBSink: it receives one transport block's completed
-// packets from a cell (ok=false marks a block lost after exhausting HARQ
-// retransmissions) and releases packets in per-cell order.
-func (u *UE) DeliverTB(cellID int, seq uint64, packets []*netsim.Packet, ok bool) {
-	st := u.reorder[cellID]
-	if st == nil {
-		return
-	}
-	st.pending[seq] = tbArrival{packets: packets, ok: ok}
-	for {
-		a, exists := st.pending[st.next]
-		if !exists {
-			return
-		}
-		delete(st.pending, st.next)
-		st.next++
-		for _, p := range a.packets {
-			if !a.ok {
-				// Lost after exhausting HARQ: the packets never reach a
-				// flow handler, so the reorder buffer is their last owner.
-				u.LostPackets++
-				u.pool.Release(p)
-				continue
-			}
-			u.Delivered++
-			u.route(p)
-		}
-	}
-}
-
-func (u *UE) route(p *netsim.Packet) {
-	h := u.flows[p.FlowID]
-	if h == nil {
-		h = u.defaultFlow
-	}
-	if h != nil {
-		h.HandlePacket(u.eng.Now(), p)
-		return
-	}
-	u.pool.Release(p) // no handler: dropped at the UE
 }

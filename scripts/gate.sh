@@ -24,6 +24,12 @@
 #   scorecard-diff BENCH_scorecard_baseline.json vs BENCH_SCORECARD_PR.json (>5 points fails)
 #   traj-diff      BENCH_traj_baseline.json      vs BENCH_TRAJ_PR.json   (>10% fails)
 #
+# Byte-identity gate (run after the det gates that write the *_PR files):
+#   baseline-ident cmp every *_PR artifact of smoke, metro, nation,
+#                  scorecard and traj against its committed baseline. A
+#                  change that moves any byte must regenerate the baseline
+#                  and say why.
+#
 # Timing budget:
 #   budget         sum the wall-clock of every gate run so far and fail
 #                  if the total exceeds GATE_BUDGET_SECONDS - a new slice
@@ -130,6 +136,18 @@ gate_nation_diff() { sweep -diff -max-regress 10 BENCH_nation_baseline.json BENC
 # percent for the clean throughput it is normalized against).
 gate_scorecard_diff() { sweep -scorecard-diff -max-regress 5 BENCH_scorecard_baseline.json BENCH_SCORECARD_PR.json; }
 gate_traj_diff()      { sweep -diff -max-regress 10 BENCH_traj_baseline.json BENCH_TRAJ_PR.json; }
+
+gate_baseline_ident() {
+  local rc=0 pair
+  for pair in BENCH_PR.json:BENCH_baseline.json \
+              BENCH_METRO_PR.json:BENCH_metro_baseline.json \
+              BENCH_NATION_PR.json:BENCH_nation_baseline.json \
+              BENCH_SCORECARD_PR.json:BENCH_scorecard_baseline.json \
+              BENCH_TRAJ_PR.json:BENCH_traj_baseline.json; do
+    cmp "${pair%%:*}" "${pair#*:}" || rc=1
+  done
+  return "$rc"
+}
 
 gate_budget() {
   if [ ! -f "$TIMES_FILE" ]; then
