@@ -1,91 +1,27 @@
-// Command pbereport renders one scenario into a paper-style figure: per
-// scheme, the oracle capacity, the transport's capacity estimate and the
+package main
+
+// The -report sink renders each scheme's run into a paper-style figure:
+// the oracle capacity, the transport's capacity estimate and the
 // achieved delivery rate over virtual time on the common 40 ms window
 // grid, with injected-fault windows shaded - the visual analogue of the
-// source paper's Figs. 6-9, and the first artifact that lets a human
-// compare this reproduction's trajectories against the paper's. Panels
-// are annotated with the sweep's trajectory analytics (convergence time,
-// tracking lag), so the figure and the CI gate describe the same
-// numbers.
-//
-// Usage:
-//
-//	pbereport -schemes pbe,cubic -out report.svg
-//	pbereport -family rtc -schemes pbertc,gcc -fault-handover 0.5 -out f.svg -csv f.csv
+// source paper's Figs. 6-9. Panels are annotated with the sweep's
+// trajectory analytics (convergence time, tracking lag), so the figure
+// and the CI gate describe the same numbers.
 //
 // The SVG is hand-rolled with fixed-precision coordinates and no
 // timestamps, so the bytes are a pure function of the scenario: CI
 // renders the committed docs/ example twice and byte-compares
 // (report-det gate).
-package main
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
-	"time"
 
-	"pbecc/internal/harness"
 	"pbecc/internal/sweep"
 )
-
-func main() {
-	family := flag.String("family", "steady", "scenario family (see pbesweep -list)")
-	schemes := flag.String("schemes", "pbe,cubic", "comma-separated schemes, one panel each")
-	rat := flag.String("rat", harness.RATLTE, "radio access technology: lte or nr")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	dur := flag.Duration("duration", 4*time.Second, "simulated duration")
-	fStale := flag.Float64("fault-stale", 0, "stale PDCCH decode fault intensity in [0, 1]")
-	fMiss := flag.Float64("fault-miss", 0, "missed cell-detection fault intensity in [0, 1]")
-	fHandover := flag.Float64("fault-handover", 0, "handover-storm fault intensity in [0, 1]")
-	fOnOff := flag.Float64("fault-onoff", 0, "adversarial on-off competitor intensity in [0, 1]")
-	out := flag.String("out", "-", "SVG file ('-' = stdout)")
-	csvOut := flag.String("csv", "", "also write the plotted trajectories as CSV to this file")
-	flag.Parse()
-
-	var panels []panel
-	for _, scheme := range strings.Split(*schemes, ",") {
-		scheme = strings.TrimSpace(scheme)
-		if scheme == "" {
-			continue
-		}
-		sc, err := harness.BuildScenario(*family, scheme, harness.Params{
-			Seed: *seed, Duration: *dur, RAT: *rat,
-			FaultStale: *fStale, FaultMiss: *fMiss,
-			FaultHandover: *fHandover, FaultOnOff: *fOnOff,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		sc.Series = true
-		res := harness.Run(sc)
-		if res.Series == nil {
-			fatal(fmt.Errorf("scenario produced no series recorder"))
-		}
-		tr := sweep.BuildTrajectory(res.Series, sc.Flows[0].ID, sc.Flows[0].UE)
-		if len(tr.Rate) == 0 {
-			fatal(fmt.Errorf("scheme %s recorded no trajectory", scheme))
-		}
-		panels = append(panels, panel{scheme: scheme, traj: tr})
-	}
-	if len(panels) == 0 {
-		fatal(fmt.Errorf("no schemes given"))
-	}
-
-	title := fmt.Sprintf("%s/%s seed %d", *family, *rat, *seed)
-	if err := writeTo(*out, func(w io.Writer) error { return renderSVG(w, title, panels) }); err != nil {
-		fatal(err)
-	}
-	if *csvOut != "" {
-		if err := writeTo(*csvOut, func(w io.Writer) error { return renderCSV(w, panels) }); err != nil {
-			fatal(err)
-		}
-	}
-}
 
 type panel struct {
 	scheme string
@@ -267,24 +203,4 @@ func renderCSV(w io.Writer, panels []panel) error {
 		bw.WriteString("\n")
 	}
 	return bw.Flush()
-}
-
-func writeTo(path string, render func(io.Writer) error) error {
-	if path == "-" {
-		return render(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pbereport:", err)
-	os.Exit(2)
 }

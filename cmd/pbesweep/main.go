@@ -5,11 +5,11 @@
 // Usage:
 //
 //	pbesweep -spec sweep.json -workers 8 -out results.json
-//	pbesweep -smoke -out BENCH_PR.json          # built-in CI smoke matrix
-//	pbesweep -metro-smoke -shards 4 -out m.json # city-scale sharded slice
-//	pbesweep -nation-smoke -shards 8 -out n.json # 64k-cell fluid-tier slice
+//	pbesweep -spec smoke -out BENCH_PR.json     # built-in CI smoke matrix
+//	pbesweep -spec metro-smoke -shards 4 -out m.json  # city-scale sharded slice
+//	pbesweep -spec nation-smoke -shards 8 -out n.json # 64k-cell fluid-tier slice
 //	pbesweep -scorecard -out scorecard.json     # robustness ranking under faults
-//	pbesweep -traj-smoke -out traj.json         # trajectory slice (convergence/tracking gates)
+//	pbesweep -spec traj -out traj.json          # trajectory slice (convergence/tracking gates)
 //	pbesweep -obs-diff base.obs.json cur.obs.json # snapshot diff (spec-hash checked)
 //	pbesweep -diff -max-regress 10 BENCH_baseline.json BENCH_PR.json
 //	pbesweep -scorecard-diff BENCH_scorecard_baseline.json scorecard.json
@@ -42,13 +42,9 @@ import (
 )
 
 func main() {
-	specPath := flag.String("spec", "", "sweep spec JSON file")
-	smoke := flag.Bool("smoke", false, "run the built-in CI smoke matrix")
-	metroSmoke := flag.Bool("metro-smoke", false, "run the built-in city-scale metro smoke slice")
-	nationSmoke := flag.Bool("nation-smoke", false, "run the built-in nation-scale fluid-tier smoke slice")
-	trajSmoke := flag.Bool("traj-smoke", false, "run the built-in trajectory slice (steady family, all schemes, series analytics)")
+	specArg := flag.String("spec", "", "built-in spec name (see -list) or sweep spec JSON file")
 	fluidBG := flag.Bool("fluid", false, "convert background churn to the fluid tier (sets the spec's \"fluid\" field; the nation family is always fluid)")
-	scorecard := flag.Bool("scorecard", false, "run the built-in robustness scorecard (schemes x fault axes) and write the ranked result; a spec with fault_axes can substitute via -spec")
+	scorecard := flag.Bool("scorecard", false, "write the ranked robustness scorecard; without -spec, runs the built-in scorecard spec (schemes x fault axes)")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 0, "parallel shard width inside sharded jobs (0 = serial); never changes results")
 	out := flag.String("out", "-", "result file ('-' = stdout)")
@@ -80,7 +76,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runSweep(*specPath, *smoke, *metroSmoke, *nationSmoke, *trajSmoke, *scorecard, *workers, *shards, *out, *obsOn, *fluidBG)
+		runSweep(*specArg, *scorecard, *workers, *shards, *out, *obsOn, *fluidBG)
 		if err := stopProf(); err != nil {
 			fatal(err)
 		}
@@ -96,17 +92,9 @@ func listAxes() {
 	fmt.Println("other axes: seeds, rats, cell_counts, noise_levels, busy, duration_ms, fluid")
 	fmt.Printf("fault axes (spec \"fault_axes\" + \"fault_levels\", see -scorecard): %v\n", faults.Axes())
 	fmt.Println("built-in specs (job counts include the fault-axis expansion):")
-	for _, b := range []struct {
-		flag string
-		spec *sweep.Spec
-	}{
-		{"-smoke", sweep.Smoke()},
-		{"-metro-smoke", sweep.MetroSmoke()},
-		{"-nation-smoke", sweep.NationSmoke()},
-		{"-traj-smoke", sweep.TrajSmoke()},
-		{"-scorecard", sweep.ScorecardSpec()},
-	} {
-		jobs, err := b.spec.Jobs()
+	for _, newSpec := range builtins {
+		spec := newSpec()
+		jobs, err := spec.Jobs()
 		if err != nil {
 			fatal(err)
 		}
@@ -116,50 +104,53 @@ func listAxes() {
 				faulted++
 			}
 		}
-		fmt.Printf("  %-13s %-13s %4d jobs (%d on fault axes)\n",
-			b.flag, b.spec.Name, len(jobs), faulted)
+		fmt.Printf("  -spec %-13s %4d jobs (%d on fault axes)\n", spec.Name, len(jobs), faulted)
 	}
 	fmt.Println("flags, not axes: -workers (job pool), -shards (intra-job width); neither changes results")
 }
 
-func runSweep(specPath string, smoke, metroSmoke, nationSmoke, trajSmoke, scorecard bool, workers, shards int, out string, obsOn, fluidBG bool) {
-	var spec *sweep.Spec
-	exclusive := 0
-	for _, on := range []bool{smoke, metroSmoke, nationSmoke, trajSmoke, specPath != ""} {
-		if on {
-			exclusive++
+// builtins are the specs -spec accepts by name in place of a file path;
+// -list prints the same list.
+var builtins = []func() *sweep.Spec{
+	sweep.Smoke, sweep.MetroSmoke, sweep.NationSmoke, sweep.TrajSmoke, sweep.ScorecardSpec,
+}
+
+// loadSpec resolves -spec: the built-in spec of that name, else the JSON
+// spec file at that path.
+func loadSpec(arg string) (*sweep.Spec, error) {
+	var names []string
+	for _, newSpec := range builtins {
+		spec := newSpec()
+		if spec.Name == arg {
+			return spec, nil
 		}
+		names = append(names, spec.Name)
 	}
-	switch {
-	case exclusive > 1:
-		fatal(fmt.Errorf("-smoke, -metro-smoke, -nation-smoke, -traj-smoke and -spec are mutually exclusive"))
-	case scorecard && (smoke || metroSmoke || nationSmoke || trajSmoke):
-		fatal(fmt.Errorf("-scorecard cannot combine with -smoke/-metro-smoke/-nation-smoke/-traj-smoke (it has its own built-in matrix)"))
-	case smoke:
-		spec = sweep.Smoke()
-	case metroSmoke:
-		spec = sweep.MetroSmoke()
-	case nationSmoke:
-		spec = sweep.NationSmoke()
-	case trajSmoke:
-		spec = sweep.TrajSmoke()
-	case scorecard && specPath == "":
-		spec = sweep.ScorecardSpec()
-	case specPath != "":
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			fatal(err)
-		}
-		spec = &sweep.Spec{}
-		// A typo'd axis key must not silently collapse to its default
-		// and run the wrong matrix.
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(spec); err != nil {
-			fatal(fmt.Errorf("%s: %w", specPath, err))
-		}
-	default:
-		fatal(fmt.Errorf("need -spec, -smoke, -metro-smoke, -nation-smoke, -diff or -list (see -h)"))
+	data, err := os.ReadFile(arg)
+	if err != nil {
+		return nil, fmt.Errorf("-spec %q is neither a built-in spec %v nor a readable file: %w", arg, names, err)
+	}
+	spec := &sweep.Spec{}
+	// A typo'd axis key must not silently collapse to its default and run
+	// the wrong matrix.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return nil, fmt.Errorf("%s: %w", arg, err)
+	}
+	return spec, nil
+}
+
+func runSweep(specArg string, scorecard bool, workers, shards int, out string, obsOn, fluidBG bool) {
+	if specArg == "" && scorecard {
+		specArg = "scorecard"
+	}
+	if specArg == "" {
+		fatal(fmt.Errorf("need -spec <built-in|file>, -scorecard, -diff or -list (see -h)"))
+	}
+	spec, err := loadSpec(specArg)
+	if err != nil {
+		fatal(err)
 	}
 	spec.Shards = shards
 	if fluidBG {
@@ -264,22 +255,27 @@ func writeSnapshot(out, specHash string) error {
 	return f.Close()
 }
 
+// readPair reads the base and current files a diff mode compares.
+func readPair[T any](mode string, args []string, read func(string) (T, error)) (base, cur T) {
+	if len(args) != 2 {
+		fatal(fmt.Errorf("%s needs exactly two files (base, current), got %d", mode, len(args)))
+	}
+	var err error
+	if base, err = read(args[0]); err != nil {
+		fatal(err)
+	}
+	if cur, err = read(args[1]); err != nil {
+		fatal(err)
+	}
+	return base, cur
+}
+
 // runObsDiff compares two -obs snapshots metric by metric. Exit 1 on any
 // differing metric value: the snapshot totals of one spec are exactly
 // reproducible, so any drift is a behavior change. Mismatched spec
 // hashes are a usage error (exit 2): regenerate the stale snapshot.
 func runObsDiff(args []string) {
-	if len(args) != 2 {
-		fatal(fmt.Errorf("-obs-diff needs exactly two .obs.json files, got %d", len(args)))
-	}
-	base, err := obs.ReadSnapshot(args[0])
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := obs.ReadSnapshot(args[1])
-	if err != nil {
-		fatal(err)
-	}
+	base, cur := readPair("-obs-diff", args, obs.ReadSnapshot)
 	deltas, err := obs.DiffSnapshots(base, cur)
 	if err != nil {
 		fatal(err)
@@ -303,17 +299,7 @@ func runObsDiff(args []string) {
 // robustness_pct (the metric is already a percentage, so a relative
 // budget would blow up near zero) and in percent for clean throughput.
 func runScorecardDiff(args []string, maxRegress float64) {
-	if len(args) != 2 {
-		fatal(fmt.Errorf("-scorecard-diff needs exactly two scorecard files, got %d", len(args)))
-	}
-	base, err := sweep.ReadScorecard(args[0])
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := sweep.ReadScorecard(args[1])
-	if err != nil {
-		fatal(err)
-	}
+	base, cur := readPair("-scorecard-diff", args, sweep.ReadScorecard)
 	deltas, err := sweep.DiffScorecard(base, cur)
 	if err != nil {
 		fatal(err)
@@ -327,17 +313,7 @@ func runScorecardDiff(args []string, maxRegress float64) {
 }
 
 func runDiff(args []string, maxRegress float64) {
-	if len(args) != 2 {
-		fatal(fmt.Errorf("-diff needs exactly two result files, got %d", len(args)))
-	}
-	base, err := sweep.ReadResult(args[0])
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := sweep.ReadResult(args[1])
-	if err != nil {
-		fatal(err)
-	}
+	base, cur := readPair("-diff", args, sweep.ReadResult)
 	deltas, err := sweep.Diff(base, cur)
 	if err != nil {
 		fatal(err)

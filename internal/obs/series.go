@@ -63,8 +63,8 @@ func Series(name string) *SeriesDef {
 	return d
 }
 
-// SeriesNames returns every registered series name, sorted (for pbesim's
-// -series-filter validation and the -list output).
+// SeriesNames returns every registered series name, sorted (for the
+// validation of pbesim's -series-filter and its error message).
 func SeriesNames() []string {
 	seriesRegistry.Lock()
 	defer seriesRegistry.Unlock()

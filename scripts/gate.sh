@@ -15,7 +15,8 @@
 #   scorecard-det  robustness scorecard, workers 1 vs 8   -> BENCH_SCORECARD_PR.json
 #   nation-det     nation slice, shards 1 vs 8            -> BENCH_NATION_PR.json
 #   series-det     trajectory slice, workers 1 vs 8       -> BENCH_TRAJ_PR.json
-#   report-det     pbereport figure, two renders + docs/  -> report_run.svg
+#   report-det     pbesim report figure, two renders + docs/, and a
+#                  fresh trace vs docs/                   -> report_run.svg
 #
 # Regression gates (against the committed baselines):
 #   smoke-diff     BENCH_baseline.json           vs BENCH_PR.json        (>10% fails)
@@ -74,14 +75,14 @@ gate_micro_diff() {
 }
 
 gate_smoke_det() {
-  sweep -smoke -workers 1 -out run1.json
-  sweep -smoke -workers 8 -out BENCH_PR.json
+  sweep -spec smoke -workers 1 -out run1.json
+  sweep -spec smoke -workers 8 -out BENCH_PR.json
   cmp run1.json BENCH_PR.json
 }
 
 gate_metro_det() {
-  sweep -metro-smoke -shards 1 -out metro1.json
-  sweep -metro-smoke -shards 4 -out BENCH_METRO_PR.json
+  sweep -spec metro-smoke -shards 1 -out metro1.json
+  sweep -spec metro-smoke -shards 4 -out BENCH_METRO_PR.json
   cmp metro1.json BENCH_METRO_PR.json
 }
 
@@ -89,7 +90,7 @@ gate_metro_det() {
 # with the metrics registry enabled has to reproduce the untraced bytes
 # exactly. The snapshot lands in metro_obs.json.obs.json.
 gate_obs_det() {
-  sweep -metro-smoke -shards 4 -obs -out metro_obs.json
+  sweep -spec metro-smoke -shards 4 -obs -out metro_obs.json
   cmp BENCH_METRO_PR.json metro_obs.json
 }
 
@@ -102,8 +103,8 @@ gate_scorecard_det() {
 # The fluid tier's contract: 64k modeled cells / 1M+ users advanced by
 # per-shard chunks must produce the same bytes at any parallel width.
 gate_nation_det() {
-  sweep -nation-smoke -shards 1 -out nation1.json
-  sweep -nation-smoke -shards 8 -out BENCH_NATION_PR.json
+  sweep -spec nation-smoke -shards 1 -out nation1.json
+  sweep -spec nation-smoke -shards 8 -out BENCH_NATION_PR.json
   cmp nation1.json BENCH_NATION_PR.json
 }
 
@@ -113,20 +114,23 @@ gate_nation_det() {
 # order is deterministic. (Shard-width determinism of the raw series CSV
 # is the TestSeriesByteIdenticalAcrossShards property test.)
 gate_series_det() {
-  sweep -traj-smoke -workers 1 -out traj1.json
-  sweep -traj-smoke -workers 8 -out BENCH_TRAJ_PR.json
+  sweep -spec traj -workers 1 -out traj1.json
+  sweep -spec traj -workers 8 -out BENCH_TRAJ_PR.json
   cmp traj1.json BENCH_TRAJ_PR.json
 }
 
 # The report figure must be a pure function of the scenario: two renders
 # byte-identical, and both identical to the committed docs/ example (a
-# drifting example means the docs lie about what the code produces).
+# drifting example means the docs lie about what the code produces). The
+# committed trace example is held to the same standard.
 gate_report_det() {
-  go run ./cmd/pbereport -schemes pbe,cubic,pbertc -out report_run.svg -csv report_run.csv
-  go run ./cmd/pbereport -schemes pbe,cubic,pbertc -out report_run2.svg
+  go run ./cmd/pbesim -scheme pbe,cubic,pbertc -report report_run.svg -csv report_run.csv
+  go run ./cmd/pbesim -scheme pbe,cubic,pbertc -report report_run2.svg
   cmp report_run.svg report_run2.svg
   cmp report_run.svg docs/report_steady.svg
   cmp report_run.csv docs/report_steady.csv
+  go run ./cmd/pbesim -family steady -scheme pbe -trace trace_run.json
+  cmp trace_run.json docs/trace_steady_pbe.json
 }
 
 gate_smoke_diff()  { sweep -diff -max-regress 10 BENCH_baseline.json BENCH_PR.json; }
