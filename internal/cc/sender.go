@@ -43,9 +43,14 @@ type Sender struct {
 	ctrl   Controller
 	mss    int
 
-	nextSeq       uint64
-	sent          map[uint64]sentPkt
-	order         []uint64
+	nextSeq uint64
+	// inflight is the in-flight ring: entry i describes seq base+i, so an
+	// ACK is an index lookup. Entries before head are all acked or lost;
+	// live counts the entries still in flight.
+	inflight      []sentPkt
+	head          int
+	base          uint64
+	live          int
 	inflightBytes int
 	pool          *netsim.PacketPool
 
@@ -97,7 +102,7 @@ type Sender struct {
 }
 
 type sentPkt struct {
-	seq                 uint64
+	live                bool
 	bytes               int
 	sentAt              time.Duration
 	deliveredAtSend     uint64
@@ -123,7 +128,7 @@ func NewSender(eng *sim.Engine, flowID int, out netsim.Handler, ctrl Controller)
 		out:    out,
 		ctrl:   ctrl,
 		mss:    netsim.MSS,
-		sent:   make(map[uint64]sentPkt),
+		base:   1,
 		pool:   netsim.PoolOf(eng),
 	}
 	s.pumpFn = s.pump
@@ -224,15 +229,15 @@ func (s *Sender) sendOne(now time.Duration) int {
 	s.nextSeq++
 	seq := s.nextSeq
 	p.FlowID, p.Seq, p.SentAt = s.FlowID, seq, now
-	s.sent[seq] = sentPkt{
-		seq:                 seq,
+	s.inflight = append(s.inflight, sentPkt{
+		live:                true,
 		bytes:               p.Size,
 		sentAt:              now,
 		deliveredAtSend:     s.delivered,
 		deliveredTimeAtSend: s.deliveredAt,
 		appLimited:          s.AppLimited,
-	}
-	s.order = append(s.order, seq)
+	})
+	s.live++
 	s.inflightBytes += p.Size
 	s.SentPackets++
 	s.SentBytes += uint64(p.Size)
@@ -249,11 +254,15 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if !p.IsAck {
 		return
 	}
-	info, ok := s.sent[p.Ack.AckSeq]
-	if !ok {
+	// A seq below base wraps to a huge index, so one bound check rejects
+	// both ends.
+	i := p.Ack.AckSeq - s.base
+	if i >= uint64(len(s.inflight)) || !s.inflight[i].live {
 		return // already declared lost or duplicate
 	}
-	delete(s.sent, p.Ack.AckSeq)
+	info := s.inflight[i]
+	s.inflight[i].live = false
+	s.live--
 	s.inflightBytes -= info.bytes
 	s.delivered += uint64(info.bytes)
 	s.deliveredAt = now
@@ -280,7 +289,7 @@ func (s *Sender) HandlePacket(now time.Duration, p *netsim.Packet) {
 
 	sample := AckSample{
 		Now:                now,
-		Seq:                info.seq,
+		Seq:                p.Ack.AckSeq,
 		AckedBytes:         info.bytes,
 		RTT:                rtt,
 		SRTT:               s.srtt,
@@ -345,7 +354,7 @@ func (s *Sender) observeDecision(now time.Duration) {
 // sweepLosses declares packets lost when they have been in flight longer
 // than srtt plus variance plus the HARQ reordering allowance.
 func (s *Sender) sweepLosses() {
-	if len(s.sent) == 0 || s.srtt == 0 {
+	if s.live == 0 || s.srtt == 0 {
 		return
 	}
 	now := s.eng.Now()
@@ -354,20 +363,21 @@ func (s *Sender) sweepLosses() {
 		slack = 10 * time.Millisecond
 	}
 	threshold := s.srtt + slack + harqReorderAllowance
-	for _, seq := range s.order {
-		info, ok := s.sent[seq]
-		if !ok {
+	for i := s.head; i < len(s.inflight); i++ {
+		info := &s.inflight[i]
+		if !info.live {
 			continue
 		}
 		if now-info.sentAt <= threshold {
-			break // order holds sequences in send order
+			break // the ring holds sequences in send order
 		}
-		delete(s.sent, seq)
+		info.live = false
+		s.live--
 		s.inflightBytes -= info.bytes
 		s.LostPackets++
 		s.ctrl.OnLoss(LossSample{
 			Now:           now,
-			Seq:           seq,
+			Seq:           s.base + uint64(i),
 			Bytes:         info.bytes,
 			InflightBytes: s.inflightBytes,
 		})
@@ -402,16 +412,21 @@ func (s *Sender) observeSeries(now time.Duration, ackedBytes int) {
 	}
 }
 
-// compactOrder drops the acked/lost prefix of the send-order list.
+// compactOrder advances the ring's head past the acked/lost prefix and
+// compacts the dead prefix once it passes 32 entries and half the
+// backing array (amortized O(1), retained capacity).
 func (s *Sender) compactOrder() {
-	i := 0
-	for i < len(s.order) {
-		if _, ok := s.sent[s.order[i]]; ok {
-			break
-		}
-		i++
+	for s.head < len(s.inflight) && !s.inflight[s.head].live {
+		s.head++
 	}
-	if i > 0 {
-		s.order = s.order[i:]
+	if s.head == len(s.inflight) {
+		s.base += uint64(s.head)
+		s.inflight = s.inflight[:0]
+		s.head = 0
+	} else if s.head > 32 && s.head*2 >= len(s.inflight) {
+		n := copy(s.inflight, s.inflight[s.head:])
+		s.inflight = s.inflight[:n]
+		s.base += uint64(s.head)
+		s.head = 0
 	}
 }

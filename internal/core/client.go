@@ -102,7 +102,7 @@ func NewClient(mon *Monitor) *Client {
 // it returns the quantized capacity feedback in bits/sec and the
 // bottleneck-state bit.
 func (c *Client) Feedback(now time.Duration, owd time.Duration, dataBytes int) (float64, bool) {
-	ct := c.Monitor.CapacityBits() // bits per subframe
+	ct := c.Monitor.CapacityBits() // bits per ms
 	npkt := int(NpktSubframes * ct / (8 * netsim.MSS))
 	internet := c.Detector.Observe(now, owd, npkt)
 

@@ -84,8 +84,9 @@ type Monitor struct {
 	// measurement-based congestion control).
 	Noise func(bits float64) float64
 
-	cells map[int]*cellTrack
-	order []int
+	cells  map[int]*cellTrack
+	order  []int
+	tracks []*cellTrack // the tracks of order, in the same order
 
 	// lastCapacity is the value the most recent CapacityBits call
 	// returned. The accuracy probe reads it through LastCapacityBits
@@ -112,6 +113,44 @@ type cellTrack struct {
 
 	users map[uint16]*userTrack
 	seen  map[uint16]int // per-ingest scratch, cleared each OnSubframe
+
+	// Memoized derived values (DESIGN.md section 12). ingests counts
+	// OnSubframe calls; n is activeUsers as of ingest nAt under filter
+	// setting nFilter (0 = not yet computed: N counts self, so it is at
+	// least 1). capMemo and fairMemo cache the last Eqn 5 solve of the
+	// capacity and fair-share call sites.
+	ingests  uint64
+	nAt      uint64
+	nFilter  bool
+	n        int
+	capMemo  eqn5Memo
+	fairMemo eqn5Memo
+}
+
+// eqn5Memo caches one Eqn 5 translation. It hits only when both inputs
+// equal the cached ones, so a hit returns exactly what a fresh solve
+// would. It is deliberately not keyed on the subframe: under the
+// stale-decode fault a cell's window freezes while its channel's BER
+// keeps moving.
+type eqn5Memo struct {
+	cp, ber, ct float64
+	ok          bool
+}
+
+// translate applies the Eqn 5 physical-to-transport translation with
+// the retransmission granularity cbgBits (0 = whole transport blocks).
+func (e *eqn5Memo) translate(cp, ber float64, cbgBits int) float64 {
+	if e.ok && cp == e.cp && ber == e.ber {
+		return e.ct
+	}
+	var ct float64
+	if cbgBits > 0 {
+		ct = phy.TransportFromPhysicalCBG(cp, ber, cbgBits)
+	} else {
+		ct = phy.TransportFromPhysical(cp, ber)
+	}
+	*e = eqn5Memo{cp: cp, ber: ber, ct: ct, ok: true}
+	return ct
 }
 
 type subframeSample struct {
@@ -147,20 +186,34 @@ func NewMonitor(rnti uint16) *Monitor {
 // already-attached cell resets its window (the §4.1 restart when carriers
 // are activated).
 func (m *Monitor) AttachCell(info CellInfo) {
-	if _, ok := m.cells[info.ID]; !ok {
-		m.order = append(m.order, info.ID)
-	}
 	spf := info.SlotsPerSubframe
 	if spf < 1 {
 		spf = 1
 	}
-	m.cells[info.ID] = &cellTrack{
+	ct := &cellTrack{
 		info:  info,
 		spf:   spf,
 		ring:  make([]subframeSample, m.Window*spf),
 		users: make(map[uint16]*userTrack),
 		seen:  make(map[uint16]int),
 	}
+	if _, ok := m.cells[info.ID]; ok {
+		m.tracks[m.index(info.ID)] = ct
+	} else {
+		m.order = append(m.order, info.ID)
+		m.tracks = append(m.tracks, ct)
+	}
+	m.cells[info.ID] = ct
+}
+
+// index returns the position of an attached cell in order.
+func (m *Monitor) index(id int) int {
+	for i, v := range m.order {
+		if v == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // DetachCell stops monitoring a carrier (deactivation).
@@ -169,12 +222,9 @@ func (m *Monitor) DetachCell(id int) {
 		return
 	}
 	delete(m.cells, id)
-	for i, v := range m.order {
-		if v == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	i := m.index(id)
+	m.order = append(m.order[:i], m.order[i+1:]...)
+	m.tracks = append(m.tracks[:i], m.tracks[i+1:]...)
 }
 
 // ActiveCellIDs returns the monitored cell IDs in attachment order.
@@ -190,6 +240,7 @@ func (m *Monitor) OnSubframe(rep *lte.SubframeReport) {
 	if !ok {
 		return
 	}
+	ct.ingests++
 	// Evict the sample leaving the window.
 	if ct.fill == len(ct.ring) {
 		old := &ct.ring[ct.next]
@@ -252,8 +303,12 @@ func (m *Monitor) OnSubframe(rep *lte.SubframeReport) {
 
 // activeUsers returns N for one cell: the filtered competing users plus
 // the mobile itself (§4.2.1). With the filter disabled every observed
-// user counts (the ablation).
+// user counts (the ablation). The count is cached until the next ingest
+// or a change of useFilter.
 func (ct *cellTrack) activeUsers(useFilter bool) int {
+	if ct.n > 0 && ct.nAt == ct.ingests && ct.nFilter == useFilter {
+		return ct.n
+	}
 	n := 1 // self
 	for _, u := range ct.users {
 		if !useFilter {
@@ -265,6 +320,7 @@ func (ct *cellTrack) activeUsers(useFilter bool) int {
 			n++
 		}
 	}
+	ct.n, ct.nAt, ct.nFilter = n, ct.ingests, useFilter
 	return n
 }
 
@@ -303,25 +359,34 @@ func (ct *cellTrack) rw() float64 {
 // with different slot clocks are not directly comparable - use
 // CellCapacityPerMs or CapacityBits for cross-RAT aggregation.
 func (m *Monitor) CellCapacity(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok || ct.fill == 0 {
+	if ct, ok := m.cells[cellID]; ok {
+		return ct.capacity(m.UseFilter)
+	}
+	return 0
+}
+
+func (ct *cellTrack) capacity(useFilter bool) float64 {
+	if ct.fill == 0 {
 		return 0
 	}
 	w := float64(ct.fill)
 	pa := float64(ct.sumMyPRBs) / w
 	idle := float64(ct.sumIdlePRBs) / w
-	n := float64(ct.activeUsers(m.UseFilter))
+	n := float64(ct.activeUsers(useFilter))
 	return ct.rw() * (pa + idle/n)
 }
 
 // CellFairShare returns one cell's contribution to Eqn 2 in physical bits
 // per scheduling slot: R_w * P_cell/N.
 func (m *Monitor) CellFairShare(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok {
-		return 0
+	if ct, ok := m.cells[cellID]; ok {
+		return ct.fairShare(m.UseFilter)
 	}
-	n := float64(ct.activeUsers(m.UseFilter))
+	return 0
+}
+
+func (ct *cellTrack) fairShare(useFilter bool) float64 {
+	n := float64(ct.activeUsers(useFilter))
 	return ct.rw() * float64(ct.info.NPRB) / n
 }
 
@@ -332,21 +397,19 @@ func (m *Monitor) CellFairShare(cellID int) float64 {
 // capacity unchanged, an NR µ=1 cell contributes twice its per-slot
 // capacity, and so on.
 func (m *Monitor) CellCapacityPerMs(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok {
-		return 0
+	if ct, ok := m.cells[cellID]; ok {
+		return ct.capacity(m.UseFilter) * float64(ct.spf)
 	}
-	return m.CellCapacity(cellID) * float64(ct.spf)
+	return 0
 }
 
 // CellFairSharePerMs returns one cell's Eqn 2 fair share in bits per
 // millisecond.
 func (m *Monitor) CellFairSharePerMs(cellID int) float64 {
-	ct, ok := m.cells[cellID]
-	if !ok {
-		return 0
+	if ct, ok := m.cells[cellID]; ok {
+		return ct.fairShare(m.UseFilter) * float64(ct.spf)
 	}
-	return m.CellFairShare(cellID) * float64(ct.spf)
+	return 0
 }
 
 // CapacityBits returns C_t: the Eqn 3 available capacity summed over the
@@ -354,8 +417,9 @@ func (m *Monitor) CellFairSharePerMs(cellID int) float64 {
 // transport-layer goodput through Eqn 5, in bits per millisecond.
 func (m *Monitor) CapacityBits() float64 {
 	var total float64
-	for _, id := range m.order {
-		total += m.translate(id, m.CellCapacityPerMs(id))
+	for _, ct := range m.tracks {
+		cp := ct.capacity(m.UseFilter) * float64(ct.spf)
+		total += ct.capMemo.translate(cp, ct.ber(), ct.info.CBGBits)
 	}
 	m.lastCapacity = m.noisy(total)
 	return m.lastCapacity
@@ -371,8 +435,9 @@ func (m *Monitor) LastCapacityBits() float64 { return m.lastCapacity }
 // translated to transport-layer bits per millisecond.
 func (m *Monitor) FairShareBits() float64 {
 	var total float64
-	for _, id := range m.order {
-		total += m.translate(id, m.CellFairSharePerMs(id))
+	for _, ct := range m.tracks {
+		cf := ct.fairShare(m.UseFilter) * float64(ct.spf)
+		total += ct.fairMemo.translate(cf, ct.ber(), ct.info.CBGBits)
 	}
 	return m.noisy(total)
 }
@@ -389,17 +454,9 @@ func (m *Monitor) noisy(v float64) float64 {
 	return v
 }
 
-// translate applies the Eqn 5 physical-to-transport translation with the
-// cell's retransmission granularity.
-func (m *Monitor) translate(id int, cp float64) float64 {
-	if ct := m.cells[id]; ct != nil && ct.info.CBGBits > 0 {
-		return phy.TransportFromPhysicalCBG(cp, m.cellBER(id), ct.info.CBGBits)
-	}
-	return phy.TransportFromPhysical(cp, m.cellBER(id))
-}
-
-func (m *Monitor) cellBER(id int) float64 {
-	ct := m.cells[id]
+// ber returns the cell's current bit error rate for Eqn 5, read from the
+// BER hook on every call.
+func (ct *cellTrack) ber() float64 {
 	if ct.info.BER != nil {
 		return ct.info.BER()
 	}

@@ -81,8 +81,8 @@ type Cell struct {
 	slotDur    time.Duration
 	control    ControlSource
 	background BackgroundSource
-	users      []*cellUser
-	byRNTI     map[uint16]*cellUser
+	users      []*CellUser
+	byRNTI     map[uint16]*CellUser
 	monitors   []Monitor
 
 	slot        int
@@ -100,7 +100,7 @@ type Cell struct {
 	// cell schedules a single pre-bound delivery event per slot that
 	// drains the queue in transmit order at the next slot boundary.
 	rep          *SubframeReport
-	blUsers      []*cellUser
+	blUsers      []*CellUser
 	wants        []int
 	wf           WaterFiller
 	tbFree       []*transportBlock
@@ -130,7 +130,11 @@ type Cell struct {
 	QueueDropped uint64
 }
 
-type cellUser struct {
+// CellUser is one user's attachment to a cell, the handle AttachUser
+// returns. Devices keep it per carrier, so the per-packet and per-ms
+// reads below touch the user directly, with no RNTI lookup.
+type CellUser struct {
+	cell *Cell
 	rnti uint16
 	sink TBSink
 	ch   *phy.Channel
@@ -150,7 +154,7 @@ type cellUser struct {
 }
 
 type transportBlock struct {
-	user      *cellUser
+	user      *CellUser
 	seq       uint64
 	rbgs      int
 	prbs      int
@@ -197,7 +201,7 @@ func NewRATCell(eng *sim.Engine, id, nprb int, table phy.CQITable, control Contr
 		rat:               rat,
 		slotDur:           time.Millisecond / time.Duration(rat.SlotsPerSubframe),
 		control:           control,
-		byRNTI:            make(map[uint16]*cellUser),
+		byRNTI:            make(map[uint16]*CellUser),
 		pendingRetx:       make(map[int][]*transportBlock),
 		rng:               eng.Rand(),
 		pool:              netsim.PoolOf(eng),
@@ -242,26 +246,35 @@ func (c *Cell) SlotsPerSubframe() int { return c.rat.SlotsPerSubframe }
 func (c *Cell) AttachMonitor(m Monitor) { c.monitors = append(c.monitors, m) }
 
 // AttachUser connects a transport-block sink to this cell under the given
-// RNTI with the given radio channel.
-func (c *Cell) AttachUser(sink TBSink, rnti uint16, ch *phy.Channel) {
+// RNTI with the given radio channel and returns the user's handle.
+func (c *Cell) AttachUser(sink TBSink, rnti uint16, ch *phy.Channel) *CellUser {
 	if _, dup := c.byRNTI[rnti]; dup {
 		panic("lte: duplicate RNTI on cell")
 	}
-	u := &cellUser{rnti: rnti, sink: sink, ch: ch}
+	u := &CellUser{cell: c, rnti: rnti, sink: sink, ch: ch}
 	c.users = append(c.users, u)
 	c.byRNTI[rnti] = u
+	return u
 }
 
-// Enqueue adds a downlink packet to the user's queue at this cell. It
-// reports false if the RNTI is not attached or the queue is full. On
-// either false path the packet is dropped - callers never retry a refused
-// packet - so the cell releases it as its last owner.
+// Enqueue adds a downlink packet to the queue of the user attached under
+// rnti; see CellUser.Enqueue. An unattached RNTI is refused, and the
+// packet released, like a full queue.
 func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
 	u, ok := c.byRNTI[rnti]
 	if !ok {
 		c.pool.Release(p)
 		return false
 	}
+	return u.Enqueue(p)
+}
+
+// Enqueue adds a downlink packet to the user's queue at its cell. It
+// reports false if the queue is full. The packet is then dropped -
+// callers never retry a refused packet - so the cell releases it as its
+// last owner.
+func (u *CellUser) Enqueue(p *netsim.Packet) bool {
+	c := u.cell
 	if c.PerUserQueueBytes > 0 && u.queuedBits/8+p.Size > c.PerUserQueueBytes {
 		c.QueueDropped++
 		c.pool.Release(p)
@@ -272,45 +285,24 @@ func (c *Cell) Enqueue(rnti uint16, p *netsim.Packet) bool {
 	return true
 }
 
-// UserQueueBits returns the bits waiting in a user's queue.
-func (c *Cell) UserQueueBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.queuedBits
-	}
-	return 0
-}
+// QueueBits returns the bits waiting in the user's queue.
+func (u *CellUser) QueueBits() int { return u.queuedBits }
 
-// UserRate returns the user's current physical rate in bits per PRB per
-// slot.
-func (c *Cell) UserRate(rnti uint16) float64 {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.ch.MCS().BitsPerPRB()
-	}
-	return 0
-}
+// Rate returns the user's current physical rate in bits per PRB per slot.
+func (u *CellUser) Rate() float64 { return u.ch.MCS().BitsPerPRB() }
 
-// UserRateBps returns the rate the user would see alone on the whole
+// RateBps returns the rate the user would see alone on the whole
 // carrier, in bits per second.
-func (c *Cell) UserRateBps(rnti uint16) float64 {
-	return c.UserRate(rnti) * float64(c.NPRB) * (1000 * float64(c.rat.SlotsPerSubframe))
+func (u *CellUser) RateBps() float64 {
+	return u.Rate() * float64(u.cell.NPRB) * (1000 * float64(u.cell.rat.SlotsPerSubframe))
 }
 
-// LastUserPRBs returns the PRBs granted to the user in the last slot.
-func (c *Cell) LastUserPRBs(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastPRBs
-	}
-	return 0
-}
+// LastPRBs returns the PRBs granted to the user in the cell's last slot.
+func (u *CellUser) LastPRBs() int { return u.lastPRBs }
 
-// LastUserServedBits returns the payload bits served to the user in the
-// last slot.
-func (c *Cell) LastUserServedBits(rnti uint16) int {
-	if u, ok := c.byRNTI[rnti]; ok {
-		return u.lastServedBits
-	}
-	return 0
-}
+// LastServedBits returns the payload bits served to the user in the
+// cell's last slot.
+func (u *CellUser) LastServedBits() int { return u.lastServedBits }
 
 // rbgsLeft counts the RBGs at or after the cursor, the last one possibly
 // partial.
@@ -455,7 +447,7 @@ func (c *Cell) tick() {
 
 // buildTB drains up to the allocated bits from the user's queue into a new
 // transport block.
-func (c *Cell) buildTB(u *cellUser, rbgs, prbs, bits int, mcs phy.MCS) *transportBlock {
+func (c *Cell) buildTB(u *CellUser, rbgs, prbs, bits int, mcs phy.MCS) *transportBlock {
 	var tb *transportBlock
 	if n := len(c.tbFree); n > 0 {
 		tb = c.tbFree[n-1]

@@ -415,7 +415,7 @@ func TestPerUserQueueCap(t *testing.T) {
 	if cell.QueueDropped == 0 {
 		t.Fatal("no drops beyond the per-user queue cap")
 	}
-	if got := cell.UserQueueBits(61) / 8; got > DefaultPerUserQueueBytes {
+	if got := ue.users[0].QueueBits() / 8; got > DefaultPerUserQueueBytes {
 		t.Fatalf("queued %d bytes exceeds cap", got)
 	}
 }

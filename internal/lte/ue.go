@@ -32,6 +32,7 @@ type UE struct {
 	RNTI uint16
 
 	cells  []*Cell
+	users  []*CellUser // this UE's handle on each of cells
 	active int
 
 	onActiveChange []func(active []*Cell)
@@ -63,7 +64,7 @@ func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
 // cell. The UE attaches to the cell immediately, but packets are only
 // dispatched to active carriers.
 func (u *UE) AddCell(c *Cell, ch *phy.Channel) {
-	u.Attach(c, u.RNTI, ch)
+	u.users = append(u.users, u.Attach(c, u.RNTI, ch))
 	u.cells = append(u.cells, c)
 	if u.active == 0 {
 		u.active = 1
@@ -94,6 +95,10 @@ func (u *UE) Stop() {
 // first. The returned slice must not be modified.
 func (u *UE) ActiveCells() []*Cell { return u.cells[:u.active] }
 
+// ActiveCellUsers returns the UE's handles on its active carriers, in
+// ActiveCells order. The returned slice must not be modified.
+func (u *UE) ActiveCellUsers() []*CellUser { return u.users[:u.active] }
+
 // OnActiveChange registers a callback fired whenever the active carrier
 // set changes (PBE-CC's monitor restarts its fair-share ramp on this
 // event, §4.1).
@@ -108,12 +113,12 @@ func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	best := -1
 	bestDrain := 0.0
 	for i := 0; i < u.active; i++ {
-		c := u.cells[i]
-		rate := c.UserRate(u.RNTI) * float64(c.NPRB) // bits per subframe if alone
+		cu := u.users[i]
+		rate := cu.Rate() * float64(u.cells[i].NPRB) // bits per subframe if alone
 		if rate <= 0 {
 			continue
 		}
-		drain := float64(c.UserQueueBits(u.RNTI)) / rate
+		drain := float64(cu.QueueBits()) / rate
 		if best < 0 || drain < bestDrain {
 			best, bestDrain = i, drain
 		}
@@ -121,7 +126,7 @@ func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if best < 0 {
 		best = 0
 	}
-	u.cells[best].Enqueue(u.RNTI, p)
+	u.users[best].Enqueue(p)
 }
 
 // tick runs once per subframe after the cells have scheduled, sampling
@@ -132,11 +137,11 @@ func (u *UE) tick() {
 	totalPRBs := 0
 	served := 0
 	for i := 0; i < u.active; i++ {
-		c := u.cells[i]
-		queued += c.UserQueueBits(u.RNTI)
-		userPRBs += c.LastUserPRBs(u.RNTI)
-		totalPRBs += c.NPRB
-		served += c.LastUserServedBits(u.RNTI)
+		cu := u.users[i]
+		queued += cu.QueueBits()
+		userPRBs += cu.LastPRBs()
+		totalPRBs += u.cells[i].NPRB
+		served += cu.LastServedBits()
 	}
 	u.window.Add(queued >= caBacklogBits ||
 		float64(userPRBs) >= caOccupancyFrac*float64(totalPRBs), served)
@@ -162,8 +167,7 @@ func (u *UE) tick() {
 		now-u.lastCAChange >= caDeactHoldoff {
 		var capMinusLast float64
 		for i := 0; i < u.active-1; i++ {
-			c := u.cells[i]
-			capMinusLast += c.UserRate(u.RNTI) * float64(c.NPRB) * float64(caDeactWindow)
+			capMinusLast += u.users[i].Rate() * float64(u.cells[i].NPRB) * float64(caDeactWindow)
 		}
 		if float64(sum) <= caDeactFrac*capMinusLast {
 			u.active--
@@ -210,17 +214,18 @@ func NewReceiver(eng *sim.Engine) Receiver {
 	return Receiver{Router: NewRouter(eng), reorder: make(map[int]*reorderState)}
 }
 
-// Attach connects the receiver to cell c under rnti with radio channel ch
-// and opens the cell's reorder buffer.
-func (r *Receiver) Attach(c *Cell, rnti uint16, ch *phy.Channel) {
+// Attach connects the receiver to cell c under rnti with radio channel ch,
+// opens the cell's reorder buffer and returns the user's cell handle.
+func (r *Receiver) Attach(c *Cell, rnti uint16, ch *phy.Channel) *CellUser {
 	if c.eng != r.eng {
 		// Cells and their users share one event engine; in sharded runs a
 		// UE spanning shards would race its own carriers. Only netsim
 		// links may cross a shard boundary.
 		panic("lte: UE and cell live on different engines (shard boundary)")
 	}
-	c.AttachUser(r, rnti, ch)
+	cu := c.AttachUser(r, rnti, ch)
 	r.reorder[c.ID] = &reorderState{pending: make(map[uint64]tbArrival)}
+	return cu
 }
 
 // DeliverTB receives one transport block's completed packets from a cell

@@ -42,6 +42,7 @@ type ENDC struct {
 	anchor *lte.UE
 	nrLeg  *UE
 	nrCell *Cell
+	nrUser *lte.CellUser // the NR leg's handle on nrCell
 
 	nrActive bool
 	enabled  bool
@@ -76,6 +77,7 @@ func NewENDC(eng *sim.Engine, id int, rnti uint16, anchor *lte.UE, nrCell *Cell,
 	}
 	e.nrLeg = NewUE(eng, id, rnti)
 	e.nrLeg.AddCell(nrCell, nrCh)
+	e.nrUser = e.nrLeg.users[0]
 	merge := netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) { e.Route(p) })
 	anchor.SetDefaultHandler(merge)
 	e.nrLeg.SetDefaultHandler(merge)
@@ -136,7 +138,7 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 		return
 	}
 	anchorRate := e.anchorRateBps()
-	nrRate := e.nrCell.UserRateBps(e.RNTI)
+	nrRate := e.nrUser.RateBps()
 	if nrRate <= 0 {
 		e.anchor.HandlePacket(now, p)
 		return
@@ -146,7 +148,7 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 		return
 	}
 	anchorDrain := float64(e.anchorQueueBits()) / anchorRate
-	nrDrain := float64(e.nrCell.UserQueueBits(e.RNTI)) / nrRate
+	nrDrain := float64(e.nrUser.QueueBits()) / nrRate
 	if nrDrain < anchorDrain {
 		e.nrLeg.HandlePacket(now, p)
 		return
@@ -157,8 +159,8 @@ func (e *ENDC) HandlePacket(now time.Duration, p *netsim.Packet) {
 // anchorRateBps sums the anchor's active-cell rates in bits per second.
 func (e *ENDC) anchorRateBps() float64 {
 	var rate float64
-	for _, c := range e.anchor.ActiveCells() {
-		rate += c.UserRateBps(e.RNTI)
+	for _, cu := range e.anchor.ActiveCellUsers() {
+		rate += cu.RateBps()
 	}
 	return rate
 }
@@ -167,8 +169,8 @@ func (e *ENDC) anchorRateBps() float64 {
 // active cells.
 func (e *ENDC) anchorQueueBits() int {
 	bits := 0
-	for _, c := range e.anchor.ActiveCells() {
-		bits += c.UserQueueBits(e.RNTI)
+	for _, cu := range e.anchor.ActiveCellUsers() {
+		bits += cu.QueueBits()
 	}
 	return bits
 }
@@ -180,16 +182,17 @@ func (e *ENDC) tick() {
 	userPRBs := 0
 	totalPRBs := 0
 	served := 0
-	for _, c := range e.anchor.ActiveCells() {
-		userPRBs += c.LastUserPRBs(e.RNTI)
-		totalPRBs += c.NPRB
-		served += c.LastUserServedBits(e.RNTI)
+	cells := e.anchor.ActiveCells()
+	for i, cu := range e.anchor.ActiveCellUsers() {
+		userPRBs += cu.LastPRBs()
+		totalPRBs += cells[i].NPRB
+		served += cu.LastServedBits()
 	}
 	if e.nrActive {
-		// The NR cell schedules 2^µ slots per subframe; LastUserServedBits
+		// The NR cell schedules 2^µ slots per subframe; LastServedBits
 		// covers only the latest slot, so scale it to a per-subframe
 		// estimate for the deactivation decision.
-		served += e.nrCell.LastUserServedBits(e.RNTI) * e.nrCell.SlotsPerSubframe()
+		served += e.nrUser.LastServedBits() * e.nrCell.SlotsPerSubframe()
 	}
 	e.window.Add(queued >= scgBacklogBits ||
 		float64(userPRBs) >= scgOccupancyFrac*float64(totalPRBs), served)

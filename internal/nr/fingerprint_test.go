@@ -87,8 +87,8 @@ func fingerprintNR(eng *sim.Engine, h hash.Hash64, mu, bw int) {
 	for i := 0; i < 4; i++ {
 		rnti := uint16(61 + i)
 		fading := phy.NewFading(3, 20*time.Millisecond, fadeRNG)
-		cell.AttachUser(rec, rnti, phy.NewStaticChannel(-97-2*float64(i), cell.Table, fading))
-		enq := netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) { cell.Enqueue(rnti, p) })
+		cu := cell.AttachUser(rec, rnti, phy.NewStaticChannel(-97-2*float64(i), cell.Table, fading))
+		enq := netsim.HandlerFunc(func(now time.Duration, p *netsim.Packet) { cu.Enqueue(p) })
 		netsim.NewCrossTraffic(eng, enq, float64(60+60*i)*1e6, i+1).Start()
 	}
 }

@@ -222,7 +222,7 @@ func TestENDCActivatesAndAggregates(t *testing.T) {
 		t.Fatal("NR leg carried no packets after activation")
 	}
 	got := float64(sink.Bytes) * 8 / 3 // bits per second over 3 s
-	anchorOnly := anchorCell.UserRate(61) * 100 * 1000
+	anchorOnly := anchor.ActiveCellUsers()[0].Rate() * 100 * 1000
 	if got < anchorOnly*1.3 {
 		t.Fatalf("aggregate rate %.1f Mbit/s not clearly above anchor-only %.1f Mbit/s",
 			got/1e6, anchorOnly/1e6)

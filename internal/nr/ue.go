@@ -21,6 +21,7 @@ type UE struct {
 	RNTI uint16
 
 	cells []*Cell
+	users []*lte.CellUser // this UE's handle on each of cells
 }
 
 // NewUE creates an NR UE; add carriers with AddCell.
@@ -30,7 +31,7 @@ func NewUE(eng *sim.Engine, id int, rnti uint16) *UE {
 
 // AddCell attaches the UE to an NR carrier with the given radio channel.
 func (u *UE) AddCell(c *Cell, ch *phy.Channel) {
-	u.Attach(c.Cell, u.RNTI, ch)
+	u.users = append(u.users, u.Attach(c.Cell, u.RNTI, ch))
 	u.cells = append(u.cells, c)
 }
 
@@ -44,12 +45,12 @@ func (u *UE) Cells() []*Cell { return u.cells }
 func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	best := -1
 	bestDrain := 0.0
-	for i, c := range u.cells {
-		rate := c.UserRateBps(u.RNTI)
+	for i, cu := range u.users {
+		rate := cu.RateBps()
 		if rate <= 0 {
 			continue
 		}
-		drain := float64(c.UserQueueBits(u.RNTI)) / rate
+		drain := float64(cu.QueueBits()) / rate
 		if best < 0 || drain < bestDrain {
 			best, bestDrain = i, drain
 		}
@@ -57,5 +58,5 @@ func (u *UE) HandlePacket(now time.Duration, p *netsim.Packet) {
 	if best < 0 {
 		best = 0
 	}
-	u.cells[best].Enqueue(u.RNTI, p)
+	u.users[best].Enqueue(p)
 }

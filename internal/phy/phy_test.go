@@ -201,34 +201,6 @@ func TestOverheadFraction(t *testing.T) {
 	}
 }
 
-func TestTranslationTableMatchesDirect(t *testing.T) {
-	tab := NewTranslationTable(2.5e-6, 200000, 500)
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 500; i++ {
-		cp := rng.Float64() * 200000
-		got := tab.Transport(cp)
-		want := TransportFromPhysical(cp, 2.5e-6)
-		if math.Abs(got-want) > 1+0.002*want {
-			t.Fatalf("table lookup cp=%v: got %v want %v", cp, got, want)
-		}
-	}
-	if tab.BER() != 2.5e-6 {
-		t.Fatalf("BER() = %v", tab.BER())
-	}
-}
-
-func TestTranslationTableBeyondGrid(t *testing.T) {
-	tab := NewTranslationTable(1e-6, 10000, 500)
-	got := tab.Transport(50000)
-	want := TransportFromPhysical(50000, 1e-6)
-	if math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("beyond-grid lookup: got %v want %v", got, want)
-	}
-	if tab.Transport(-5) != 0 {
-		t.Fatal("negative capacity must yield 0")
-	}
-}
-
 func TestFadingZeroWithoutRNG(t *testing.T) {
 	f := NewFading(3, 50*time.Millisecond, nil)
 	for i := 0; i < 10; i++ {
@@ -330,13 +302,5 @@ func TestMobileChannelFollowsTrajectory(t *testing.T) {
 func BenchmarkTransportFromPhysical(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		TransportFromPhysical(60000, 2.5e-6)
-	}
-}
-
-func BenchmarkTranslationTableLookup(b *testing.B) {
-	tab := NewTranslationTable(2.5e-6, 200000, 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.Transport(float64(i%200) * 1000)
 	}
 }
